@@ -227,7 +227,7 @@ static void BM_ForestPredict(benchmark::State &State) {
 }
 BENCHMARK(BM_ForestPredict)->Unit(benchmark::kMicrosecond);
 
-/// Compile-time cost of extracting the 38 features from a loop ("lookup
+/// Compile-time cost of extracting the 41 features from a loop ("lookup
 /// time is far outweighed by compiler fixed-point dataflow analyses").
 static void BM_FeatureExtraction(benchmark::State &State) {
   Loop L = benchLoop();

@@ -31,21 +31,18 @@
 #include "BenchCommon.h"
 
 #include "core/features/FeatureExtractor.h"
-#include "core/ml/CrossValidation.h"
-#include "core/ml/DecisionTree.h"
 #include "core/ml/Evaluation.h"
-#include "core/ml/Forest.h"
-#include "core/ml/Lsh.h"
-#include "core/ml/Mlp.h"
-#include "core/ml/Regression.h"
 #include "import/ImportedCorpus.h"
 
 #include <algorithm>
-#include <cmath>
+#include <map>
 
 using namespace metaopt;
 
 namespace {
+
+/// Label of the never-unroll calibration row.
+const char *const NeverUnroll = "always-1 (never unroll)";
 
 /// Destination for the BENCH_generalization.json copy of every JSON row.
 BenchJsonWriter *RowSink = nullptr;
@@ -178,7 +175,7 @@ int main(int Argc, char **Argv) {
   TablePrinter Table("Synthetic-train / imported-eval (generalization)");
   Table.addHeader({"classifier", "loocv", "imported", "top-2", "mean cost",
                    "speedup", "gap"});
-  std::vector<std::pair<std::string, double>> ImportedAccuracies;
+  std::map<std::string, double> ImportedAccuracies;
   auto AddRow = [&](const std::string &Name,
                     const std::vector<unsigned> &LoocvPred,
                     const std::vector<unsigned> &EvalPred) {
@@ -197,7 +194,7 @@ int main(int Argc, char **Argv) {
                   formatDouble(Cost, 3) + "x",
                   formatDouble(Speedup, 3) + "x",
                   HasLoocv ? formatPercent(Gap, 1) : "-"});
-    ImportedAccuracies.emplace_back(Name, Rank.accuracy());
+    ImportedAccuracies[Name] = Rank.accuracy();
     char LoocvJson[32], GapJson[32];
     if (HasLoocv) {
       std::snprintf(LoocvJson, sizeof(LoocvJson), "%.4f", Loocv);
@@ -227,82 +224,14 @@ int main(int Argc, char **Argv) {
     return Preds;
   };
 
-  // The paper's two learners plus the ECOC variant (fast exact LOOCV).
-  {
-    NearNeighborClassifier Nn(Features, 0.3);
-    std::vector<unsigned> Loocv = loocvPredictions(Nn, Train);
-    Nn.train(Train);
-    AddRow("near-neighbor (paper)", Loocv, PredictAll(Nn));
-  }
-  {
-    SvmClassifier Svm(Features);
-    std::vector<unsigned> Loocv = loocvPredictions(Svm, Train);
-    Svm.train(Train);
-    AddRow("LS-SVM one-vs-rest (paper)", Loocv, PredictAll(Svm));
-  }
-  {
-    SvmOptions Ecoc;
-    Ecoc.CodeKind = SvmOptions::Code::RandomEcoc;
-    SvmClassifier Svm(Features, Ecoc);
-    std::vector<unsigned> Loocv = loocvPredictions(Svm, Train);
-    Svm.train(Train);
-    AddRow("LS-SVM random ECOC", Loocv, PredictAll(Svm));
-  }
-
-  // Decision tree and LSH: training is cheap, brute-force LOOCV.
-  {
-    DecisionTreeClassifier Tree(Features);
-    std::vector<unsigned> Loocv = bruteForceLoocv(
-        [](const FeatureSet &F) {
-          return std::make_unique<DecisionTreeClassifier>(F);
-        },
-        Features, Train);
-    Tree.train(Train);
-    AddRow("decision tree (CART)", Loocv, PredictAll(Tree));
-  }
-  {
-    LshNearNeighborClassifier Lsh(Features);
-    std::vector<unsigned> Loocv = bruteForceLoocv(
-        [](const FeatureSet &F) {
-          return std::make_unique<LshNearNeighborClassifier>(F);
-        },
-        Features, Train);
-    Lsh.train(Train);
-    AddRow("LSH approximate NN", Loocv, PredictAll(Lsh));
-  }
-
-  // Kernel ridge regression: exact LOO residuals, rounded to factors.
-  {
-    KrrUnrollRegressor Krr(Features);
-    Krr.train(Train);
-    std::vector<unsigned> Loocv;
-    for (double Value : Krr.looValues())
-      Loocv.push_back(static_cast<unsigned>(
-          std::clamp<long>(std::lround(Value), 1, MaxUnrollFactor)));
-    AddRow("kernel ridge regression (Sec. 8)", Loocv, PredictAll(Krr));
-  }
-
-  // The model zoo: MLP and random forest, brute-force LOOCV like the
-  // tree (both retrain deterministically from a fixed seed per fold).
-  {
-    MlpClassifier Mlp(Features);
-    std::vector<unsigned> Loocv = bruteForceLoocv(
-        [](const FeatureSet &F) {
-          return std::make_unique<MlpClassifier>(F);
-        },
-        Features, Train);
-    Mlp.train(Train);
-    AddRow("MLP (model zoo)", Loocv, PredictAll(Mlp));
-  }
-  {
-    RandomForestClassifier Forest(Features);
-    std::vector<unsigned> Loocv = bruteForceLoocv(
-        [](const FeatureSet &F) {
-          return std::make_unique<RandomForestClassifier>(F);
-        },
-        Features, Train);
-    Forest.train(Train);
-    AddRow("random forest (model zoo)", Loocv, PredictAll(Forest));
+  // Every family, each with its own LOOCV strategy (closed form for NN,
+  // the LS-SVMs and kernel ridge regression, brute-force retraining for
+  // the rest), then one model trained on the whole synthetic set.
+  for (const ClassifierFamily &Family : classifierFamilies()) {
+    std::vector<unsigned> Loocv = Family.Loocv(Features, Train);
+    std::unique_ptr<Classifier> Model = Family.Make(Features);
+    Model->train(Train);
+    AddRow(Family.BenchLabel, Loocv, PredictAll(*Model));
   }
 
   // Calibration rows: the oracle (predict the measured label - upper
@@ -312,15 +241,15 @@ int main(int Argc, char **Argv) {
     for (const Example &Ex : Eval.examples())
       Oracle.push_back(Ex.Label);
     AddRow("oracle (upper bound)", {}, Oracle);
-    AddRow("always-1 (never unroll)", {},
-           std::vector<unsigned>(Eval.size(), 1));
+    AddRow(NeverUnroll, {}, std::vector<unsigned>(Eval.size(), 1));
   }
   Table.print();
 
   std::printf("\nShape checks:\n");
   double BestImported = 0.0;
-  for (size_t I = 0; I + 2 < ImportedAccuracies.size(); ++I)
-    BestImported = std::max(BestImported, ImportedAccuracies[I].second);
+  for (const ClassifierFamily &Family : classifierFamilies())
+    BestImported =
+        std::max(BestImported, ImportedAccuracies.at(Family.BenchLabel));
   double OracleSpeedup = realizedSpeedup(Eval, [&] {
     std::vector<unsigned> Oracle;
     for (const Example &Ex : Eval.examples())
@@ -329,10 +258,8 @@ int main(int Argc, char **Argv) {
   }());
   printComparison("some learner transfers to real-code kernels",
                   "beats never-unroll on accuracy",
-                  BestImported >
-                          ImportedAccuracies.back().second
-                      ? "yes"
-                      : "no");
+                  BestImported > ImportedAccuracies.at(NeverUnroll) ? "yes"
+                                                                    : "no");
   printComparison("unrolling pays off on the imported set",
                   "oracle speedup > 1.0x",
                   formatDouble(OracleSpeedup, 3) + "x");

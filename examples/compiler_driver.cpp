@@ -10,22 +10,22 @@
 // be incorporated into a compiler" (§4.1).
 //
 // Usage:
-//   compiler_driver [--orc] [--swp] [--classifier=nn|svm]
+//   compiler_driver [--orc] [--swp] [--classifier=<servable family>]
 //                   [--show-schedule] [--save-model=<path>]
 //                   [--load-model=<path>] <file.loop>
 //   (with no file, a built-in sample program is compiled)
 //
-// --save-model writes the trained classifier to disk; --load-model skips
-// training entirely and restores it - how a production compiler would
-// ship the model.
+// --classifier takes any servable family of classifierFamilies() (default:
+// the table's first row, the paper's near-neighbor model). --save-model
+// writes the trained classifier to disk; --load-model skips training
+// entirely and restores it - how a production compiler would ship the
+// model.
 //
 //===----------------------------------------------------------------------===//
 
 #include "analysis/DependenceGraph.h"
 #include "core/driver/Heuristics.h"
 #include "core/driver/Pipeline.h"
-#include "core/ml/NearNeighbor.h"
-#include "core/ml/OutputCode.h"
 #include "heuristics/OrcLikeHeuristic.h"
 #include "ir/Parser.h"
 #include "ir/Printer.h"
@@ -88,7 +88,13 @@ int main(int Argc, char **Argv) {
   bool UseOrc = Args.has("orc");
   bool EnableSwp = Args.has("swp");
   bool ShowSchedule = Args.has("show-schedule");
-  std::string ClassifierName = Args.getString("classifier", "nn");
+  const ClassifierFamily *Family = findClassifierFamily(
+      Args.getString("classifier", classifierFamilies().front().spelling()));
+  if (!Family || !Family->servable()) {
+    std::fprintf(stderr, "error: --classifier must be one of %s\n",
+                 servableClassifierSpellings(", ").c_str());
+    return 1;
+  }
   std::string SaveModelPath = Args.getString("save-model", "");
   std::string LoadModelPath = Args.getString("load-model", "");
 
@@ -142,20 +148,10 @@ int main(int Argc, char **Argv) {
     Options.CacheDir = "";
     Pipeline Pipe(Options);
     std::printf("Training the %s classifier on %zu labeled loops...\n\n",
-                ClassifierName.c_str(), Pipe.dataset(EnableSwp).size());
-    std::string Blob;
-    if (ClassifierName == "svm") {
-      auto Svm = std::make_unique<SvmClassifier>(paperReducedFeatureSet());
-      Svm->train(Pipe.dataset(EnableSwp));
-      Blob = Svm->serialize();
-      Trained = std::move(Svm);
-    } else {
-      auto Nn = std::make_unique<NearNeighborClassifier>(
-          paperReducedFeatureSet());
-      Nn->train(Pipe.dataset(EnableSwp));
-      Blob = Nn->serialize();
-      Trained = std::move(Nn);
-    }
+                Family->Name, Pipe.dataset(EnableSwp).size());
+    Trained = Family->Make(paperReducedFeatureSet());
+    Trained->train(Pipe.dataset(EnableSwp));
+    std::string Blob = Trained->serialize();
     if (!SaveModelPath.empty()) {
       std::FILE *File = std::fopen(SaveModelPath.c_str(), "wb");
       if (File) {

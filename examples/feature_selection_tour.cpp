@@ -68,7 +68,11 @@ int main(int Argc, char **Argv) {
   std::printf("\nGreedy selection, LS-SVM training error (on %zu "
               "examples):\n",
               Small.size());
-  auto SvmSteps = greedyFeatureSelection(Small, svmTrainError, Steps);
+  auto SvmSteps = greedyFeatureSelection(
+      Small, trainingError([](const FeatureSet &F) {
+        return std::make_unique<SvmClassifier>(F);
+      }),
+      Steps);
   for (size_t I = 0; I < SvmSteps.size(); ++I)
     std::printf("  %zu. %-24s error %.3f\n", I + 1,
                 featureName(SvmSteps[I].Feature), SvmSteps[I].TrainError);

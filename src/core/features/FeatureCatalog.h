@@ -1,4 +1,4 @@
-//===- core/features/FeatureCatalog.h - The 38 loop features ----*- C++ -*-===//
+//===- core/features/FeatureCatalog.h - The 41 loop features ----*- C++ -*-===//
 //
 // Part of the metaopt project, a reproduction of "Predicting Unroll Factors
 // Using Supervised Classification" (Stephenson & Amarasinghe, CGO 2005).

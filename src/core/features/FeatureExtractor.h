@@ -6,7 +6,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Computes the 38-entry feature vector of a loop by running the analyses
+/// Computes the 41-entry feature vector of a loop by running the analyses
 /// in src/analysis (dependence graph, critical path, computations,
 /// liveness, recurrence MII) and counting instruction properties. This is
 /// the "feature extraction tool" the paper instruments ORC with.
@@ -21,7 +21,7 @@
 
 namespace metaopt {
 
-/// Extracts all 38 features of \p L. The loop must be well-formed. The
+/// Extracts all 41 features of \p L. The loop must be well-formed. The
 /// loop-control tail is excluded from the counts, matching a compiler that
 /// measures the loop "payload".
 FeatureVector extractFeatures(const Loop &L);

@@ -2,6 +2,7 @@
 
 #include "core/ml/Classifier.h"
 
+#include "core/ml/CrossValidation.h"
 #include "core/ml/DecisionTree.h"
 #include "core/ml/Forest.h"
 #include "core/ml/Lsh.h"
@@ -12,8 +13,7 @@
 #include "support/StringUtils.h"
 
 #include <algorithm>
-#include <map>
-#include <mutex>
+#include <cmath>
 
 using namespace metaopt;
 
@@ -37,115 +37,117 @@ double Classifier::accuracyOn(const Dataset &Data) const {
 }
 
 //===----------------------------------------------------------------------===//
-// Serialization registry
+// Classifier families
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-struct LoaderRegistry {
-  std::mutex Mutex;
-  std::map<std::string, ClassifierLoader> Loaders;
+template <typename T>
+std::unique_ptr<Classifier> make(const FeatureSet &Features) {
+  return std::make_unique<T>(Features);
+}
+
+std::unique_ptr<Classifier> makeSvmEcoc(const FeatureSet &Features) {
+  SvmOptions Options;
+  Options.CodeKind = SvmOptions::Code::RandomEcoc;
+  return std::make_unique<SvmClassifier>(Features, Options);
+}
+
+/// Closed-form LOOCV through the family's own loocvPredictions overload.
+template <typename T, auto MakeFn>
+std::vector<unsigned> closedFormLoocv(const FeatureSet &Features,
+                                      const Dataset &Data) {
+  std::unique_ptr<Classifier> Model = MakeFn(Features);
+  return loocvPredictions(static_cast<T &>(*Model), Data);
+}
+
+template <auto MakeFn>
+std::vector<unsigned> bruteForce(const FeatureSet &Features,
+                                 const Dataset &Data) {
+  return bruteForceLoocv(MakeFn, Features, Data);
+}
+
+/// Kernel ridge regression: exact leave-one-out values, rounded and
+/// clamped to factors like predict().
+std::vector<unsigned> roundedRegressionLoocv(const FeatureSet &Features,
+                                             const Dataset &Data) {
+  KrrUnrollRegressor Krr(Features);
+  Krr.train(Data);
+  std::vector<unsigned> Predictions;
+  for (double Value : Krr.looValues())
+    Predictions.push_back(static_cast<unsigned>(
+        std::clamp<long>(std::lround(Value), 1, MaxUnrollFactor)));
+  return Predictions;
+}
+
+template <typename T>
+std::unique_ptr<Classifier> load(const std::string &Text) {
+  if (auto Model = T::deserialize(Text))
+    return std::make_unique<T>(std::move(*Model));
+  return nullptr;
+}
+
+const ClassifierFamily Families[] = {
+    {"near-neighbor", "nn", "near-neighbor (paper)",
+     make<NearNeighborClassifier>,
+     closedFormLoocv<NearNeighborClassifier, make<NearNeighborClassifier>>,
+     load<NearNeighborClassifier>},
+    {"svm", nullptr, "LS-SVM one-vs-rest (paper)", make<SvmClassifier>,
+     closedFormLoocv<SvmClassifier, make<SvmClassifier>>,
+     load<SvmClassifier>},
+    // The SVM loader restores ECOC blobs too (the code kind is part of
+    // the format), but only one-vs-rest is published.
+    {"svm-ecoc", nullptr, "LS-SVM random ECOC", makeSvmEcoc,
+     closedFormLoocv<SvmClassifier, makeSvmEcoc>, nullptr},
+    {"decision-tree", nullptr, "decision tree (CART)",
+     make<DecisionTreeClassifier>, bruteForce<make<DecisionTreeClassifier>>,
+     load<DecisionTreeClassifier>},
+    {"lsh-nn", nullptr, "LSH approximate NN",
+     make<LshNearNeighborClassifier>,
+     bruteForce<make<LshNearNeighborClassifier>>, nullptr},
+    {"krr-regression", nullptr, "kernel ridge regression (Sec. 8)",
+     make<KrrUnrollRegressor>, roundedRegressionLoocv, nullptr},
+    {"mlp", nullptr, "MLP (model zoo)", make<MlpClassifier>,
+     bruteForce<make<MlpClassifier>>, load<MlpClassifier>},
+    {"random-forest", nullptr, "random forest (model zoo)",
+     make<RandomForestClassifier>, bruteForce<make<RandomForestClassifier>>,
+     load<RandomForestClassifier>},
 };
-
-// The built-ins are registered here, not via static initializers in their
-// own translation units, so static-library dead stripping can never drop
-// the registrations.
-void registerBuiltins(LoaderRegistry &R) {
-  R.Loaders["near-neighbor"] =
-      [](const std::string &Text) -> std::unique_ptr<Classifier> {
-    if (auto Nn = NearNeighborClassifier::deserialize(Text))
-      return std::make_unique<NearNeighborClassifier>(std::move(*Nn));
-    return nullptr;
-  };
-  ClassifierLoader SvmLoader =
-      [](const std::string &Text) -> std::unique_ptr<Classifier> {
-    if (auto Svm = SvmClassifier::deserialize(Text))
-      return std::make_unique<SvmClassifier>(std::move(*Svm));
-    return nullptr;
-  };
-  R.Loaders["svm"] = SvmLoader;
-  R.Loaders["svm-ecoc"] = SvmLoader;
-  R.Loaders["decision-tree"] =
-      [](const std::string &Text) -> std::unique_ptr<Classifier> {
-    if (auto Tree = DecisionTreeClassifier::deserialize(Text))
-      return std::make_unique<DecisionTreeClassifier>(std::move(*Tree));
-    return nullptr;
-  };
-  R.Loaders["lsh-nn"] =
-      [](const std::string &Text) -> std::unique_ptr<Classifier> {
-    if (auto Lsh = LshNearNeighborClassifier::deserialize(Text))
-      return std::make_unique<LshNearNeighborClassifier>(std::move(*Lsh));
-    return nullptr;
-  };
-  R.Loaders["krr-regression"] =
-      [](const std::string &Text) -> std::unique_ptr<Classifier> {
-    if (auto Krr = KrrUnrollRegressor::deserialize(Text))
-      return std::make_unique<KrrUnrollRegressor>(std::move(*Krr));
-    return nullptr;
-  };
-  R.Loaders["mlp"] =
-      [](const std::string &Text) -> std::unique_ptr<Classifier> {
-    if (auto Mlp = MlpClassifier::deserialize(Text))
-      return std::make_unique<MlpClassifier>(std::move(*Mlp));
-    return nullptr;
-  };
-  R.Loaders["random-forest"] =
-      [](const std::string &Text) -> std::unique_ptr<Classifier> {
-    if (auto Forest = RandomForestClassifier::deserialize(Text))
-      return std::make_unique<RandomForestClassifier>(std::move(*Forest));
-    return nullptr;
-  };
-}
-
-LoaderRegistry &registry() {
-  static LoaderRegistry *Registry = [] {
-    auto *R = new LoaderRegistry;
-    registerBuiltins(*R);
-    return R;
-  }();
-  return *Registry;
-}
 
 } // namespace
 
-void metaopt::registerClassifierLoader(const std::string &Name,
-                                       ClassifierLoader Loader) {
-  LoaderRegistry &R = registry();
-  std::lock_guard<std::mutex> Lock(R.Mutex);
-  R.Loaders[Name] = std::move(Loader);
+std::span<const ClassifierFamily> metaopt::classifierFamilies() {
+  return Families;
 }
 
-std::vector<std::string> metaopt::registeredClassifierNames() {
-  LoaderRegistry &R = registry();
-  std::lock_guard<std::mutex> Lock(R.Mutex);
-  std::vector<std::string> Names;
-  Names.reserve(R.Loaders.size());
-  for (const auto &[Name, Loader] : R.Loaders)
-    Names.push_back(Name);
-  return Names;
+const ClassifierFamily *
+metaopt::findClassifierFamily(const std::string &Name) {
+  for (const ClassifierFamily &Family : Families)
+    if (Name == Family.Name || (Family.Alias && Name == Family.Alias))
+      return &Family;
+  return nullptr;
+}
+
+std::string
+metaopt::servableClassifierSpellings(const std::string &Separator) {
+  std::string Joined;
+  for (const ClassifierFamily &Family : Families)
+    if (Family.servable())
+      Joined += (Joined.empty() ? "" : Separator) + Family.spelling();
+  return Joined;
 }
 
 std::unique_ptr<Classifier>
 metaopt::deserializeClassifier(const std::string &Text,
                                const std::string &Name) {
-  // Snapshot the loaders so user loaders may run without holding the lock.
-  std::vector<std::pair<std::string, ClassifierLoader>> Loaders;
-  {
-    LoaderRegistry &R = registry();
-    std::lock_guard<std::mutex> Lock(R.Mutex);
-    Loaders.assign(R.Loaders.begin(), R.Loaders.end());
-  }
-  if (!Name.empty()) {
-    auto Preferred =
-        std::find_if(Loaders.begin(), Loaders.end(),
-                     [&](const auto &Entry) { return Entry.first == Name; });
-    if (Preferred != Loaders.end())
-      if (std::unique_ptr<Classifier> Loaded = Preferred->second(Text))
+  if (const ClassifierFamily *Preferred = findClassifierFamily(Name))
+    if (Preferred->Load)
+      if (std::unique_ptr<Classifier> Loaded = Preferred->Load(Text))
         return Loaded;
-  }
-  for (const auto &[LoaderName, Loader] : Loaders)
-    if (std::unique_ptr<Classifier> Loaded = Loader(Text))
-      return Loaded;
+  for (const ClassifierFamily &Family : Families)
+    if (Family.Load)
+      if (std::unique_ptr<Classifier> Loaded = Family.Load(Text))
+        return Loaded;
   return nullptr;
 }
 

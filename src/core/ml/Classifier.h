@@ -6,17 +6,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The interface shared by the learned multi-class classifiers (near
-/// neighbor, LS-SVM with output codes). A classifier owns its feature
-/// subset and normalizer: train() fits them on the training set, and
-/// predict() maps a raw 38-entry feature vector to an unroll factor.
+/// The interface shared by the learned multi-class classifiers, and the
+/// table of classifier families. A classifier owns its feature subset and
+/// normalizer: train() fits them on the training set, and predict() maps
+/// a raw NumFeatures-entry (41) feature vector to an unroll factor.
 ///
-/// Trained classifiers are polymorphically serializable: serialize()
-/// emits a self-describing text blob, and the registry-based
-/// deserializeClassifier() restores a predict-equivalent instance from it
-/// without the caller naming (or downcasting to) a concrete class. Model
-/// bundles (serve/ModelBundle.h) and cross-validation utilities rely on
-/// this to stay classifier-agnostic.
+/// classifierFamilies() is the single list of families. Each row names a
+/// family and carries its factory, its LOOCV strategy and, for servable
+/// families, the loader that restores a serialize() blob. Training tools,
+/// benches, the fuzz bundle oracle and model bundles (serve/ModelBundle.h)
+/// all iterate this table, so adding a family is one row plus the
+/// family's own sources.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,6 +30,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -58,9 +59,10 @@ public:
 
   /// Serializes the trained model to a self-describing text blob whose
   /// first token identifies the format. Must only be called after
-  /// train(); deserializeClassifier() restores a predict-equivalent
-  /// instance.
-  virtual std::string serialize() const = 0;
+  /// train(); the family's loader restores a predict-equivalent instance.
+  /// Bench-only families keep the default empty blob, which model bundles
+  /// reject.
+  virtual std::string serialize() const { return ""; }
 
   /// Fraction of \p Data classified correctly (prediction == label).
   double accuracyOn(const Dataset &Data) const;
@@ -72,28 +74,49 @@ using ClassifierFactory =
     std::function<std::unique_ptr<Classifier>(const FeatureSet &)>;
 
 //===----------------------------------------------------------------------===//
-// Serialization registry
+// Classifier families
 //===----------------------------------------------------------------------===//
 
-/// Restores a serialized classifier, returning null on unrecognizable or
-/// corrupt input. Tries the loader registered under each classifier name;
-/// the blobs are self-describing, so a loader only accepts its own format.
-using ClassifierLoader =
-    std::function<std::unique_ptr<Classifier>(const std::string &)>;
+/// One classifier family: how to build, cross-validate and restore it.
+struct ClassifierFamily {
+  /// Classifier::name() of the models Make() builds.
+  const char *Name;
+  /// A second --classifier spelling, or null.
+  const char *Alias;
+  /// Row label in the bench tables and BENCH_generalization.json.
+  const char *BenchLabel;
+  /// A fresh untrained model with the family's default options.
+  std::unique_ptr<Classifier> (*Make)(const FeatureSet &Features);
+  /// Leave-one-out predictions over \p Data, one per example: the
+  /// closed-form path where the family has one, bruteForceLoocv
+  /// otherwise.
+  std::vector<unsigned> (*Loocv)(const FeatureSet &Features,
+                                 const Dataset &Data);
+  /// Restores a serialize() blob, null when the blob is not this
+  /// family's format. Null for bench-only families, which are never
+  /// published or served.
+  std::unique_ptr<Classifier> (*Load)(const std::string &Text);
 
-/// Registers \p Loader under \p Name (a Classifier::name() value).
-/// Registering the same name again replaces the previous loader. The
-/// built-in classifiers (near-neighbor, svm, svm-ecoc, decision-tree,
-/// lsh-nn, krr-regression, mlp, random-forest) are pre-registered.
-void registerClassifierLoader(const std::string &Name,
-                              ClassifierLoader Loader);
+  bool servable() const { return Load != nullptr; }
+  /// The --classifier spelling tools list: the alias when there is one.
+  const char *spelling() const { return Alias ? Alias : Name; }
+};
 
-/// Names with a registered loader, sorted.
-std::vector<std::string> registeredClassifierNames();
+/// Every family, in bench-table order: the paper's two learners first.
+/// The first row is the tools' default classifier.
+std::span<const ClassifierFamily> classifierFamilies();
 
-/// Restores a classifier serialized by any registered format, trying the
-/// loader registered under \p Name first when non-empty. Returns null when
-/// no loader accepts \p Text.
+/// The family whose name or alias is \p Name, or null.
+const ClassifierFamily *findClassifierFamily(const std::string &Name);
+
+/// The servable families' spellings joined by \p Separator, for usage
+/// and error messages.
+std::string servableClassifierSpellings(const std::string &Separator);
+
+/// Restores a serialized classifier, trying the loader of the family
+/// named \p Name first when non-empty, then every loader. Blobs are
+/// self-describing, so a loader only accepts its own format. Returns null
+/// when no loader accepts \p Text.
 std::unique_ptr<Classifier>
 deserializeClassifier(const std::string &Text,
                       const std::string &Name = "");

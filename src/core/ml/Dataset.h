@@ -6,7 +6,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The labeled dataset: one example per usable loop, holding its 38-entry
+/// The labeled dataset: one example per usable loop, holding its 41-entry
 /// feature vector, the empirically best unroll factor (the label), the
 /// median measured cycles at every factor (for rank/cost analysis and the
 /// oracle), and provenance. Includes CSV round-tripping: the paper released

@@ -3,10 +3,7 @@
 #include "core/ml/FeatureSelection.h"
 
 #include "concurrency/Parallel.h"
-#include "core/ml/Forest.h"
-#include "core/ml/Mlp.h"
 #include "core/ml/NearNeighbor.h"
-#include "core/ml/OutputCode.h"
 
 #include <algorithm>
 #include <cassert>
@@ -151,29 +148,13 @@ double metaopt::nearNeighborTrainError(const FeatureSet &Features,
   return static_cast<double>(Wrong) / Data.size();
 }
 
-double metaopt::svmTrainError(const FeatureSet &Features,
-                              const Dataset &Data) {
-  if (Data.empty())
-    return 1.0;
-  SvmClassifier Classifier(Features);
-  Classifier.train(Data);
-  return 1.0 - Classifier.accuracyOn(Data);
-}
-
-double metaopt::mlpTrainError(const FeatureSet &Features,
-                              const Dataset &Data) {
-  if (Data.empty())
-    return 1.0;
-  MlpClassifier Classifier(Features);
-  Classifier.train(Data);
-  return 1.0 - Classifier.accuracyOn(Data);
-}
-
-double metaopt::forestTrainError(const FeatureSet &Features,
-                                 const Dataset &Data) {
-  if (Data.empty())
-    return 1.0;
-  RandomForestClassifier Classifier(Features);
-  Classifier.train(Data);
-  return 1.0 - Classifier.accuracyOn(Data);
+TrainErrorFn metaopt::trainingError(ClassifierFactory Factory) {
+  return [Factory = std::move(Factory)](const FeatureSet &Features,
+                                        const Dataset &Data) {
+    if (Data.empty())
+      return 1.0;
+    std::unique_ptr<Classifier> Fresh = Factory(Features);
+    Fresh->train(Data);
+    return 1.0 - Fresh->accuracyOn(Data);
+  };
 }

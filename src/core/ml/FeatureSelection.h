@@ -16,7 +16,7 @@
 #ifndef METAOPT_CORE_ML_FEATURESELECTION_H
 #define METAOPT_CORE_ML_FEATURESELECTION_H
 
-#include "core/ml/Dataset.h"
+#include "core/ml/Classifier.h"
 
 #include <functional>
 #include <utility>
@@ -34,11 +34,11 @@ std::vector<std::pair<FeatureId, double>>
 rankByMutualInformation(const Dataset &Data, int Bins = 10);
 
 /// Training-set error of a classifier restricted to a feature subset;
-/// pluggable so both Table 4 columns (NN and SVM) reuse one greedy loop.
-/// Candidate features are scored concurrently on the global thread pool,
-/// so the callable must be safe to invoke from several threads at once
-/// (training a fresh classifier per call, as both built-in error
-/// functions do, satisfies this).
+/// pluggable so every Table 4 column reuses one greedy loop. Candidate
+/// features are scored concurrently on the global thread pool, so the
+/// callable must be safe to invoke from several threads at once
+/// (training a fresh classifier per call, as nearNeighborTrainError and
+/// trainingError do, satisfies this).
 using TrainErrorFn =
     std::function<double(const FeatureSet &Features, const Dataset &Data)>;
 
@@ -60,14 +60,10 @@ std::vector<GreedyStep> greedyFeatureSelection(const Dataset &Data,
 double nearNeighborTrainError(const FeatureSet &Features,
                               const Dataset &Data);
 
-/// Table 4's SVM column: LS-SVM training-set error.
-double svmTrainError(const FeatureSet &Features, const Dataset &Data);
-
-/// Model-zoo greedy columns: MLP and random-forest training-set error.
-/// Both retrain a fresh, default-configured model per call, so they are
-/// safe under the concurrent candidate scan like the two above.
-double mlpTrainError(const FeatureSet &Features, const Dataset &Data);
-double forestTrainError(const FeatureSet &Features, const Dataset &Data);
+/// Training-set error of a fresh model from \p Factory, retrained per
+/// call (so safe under the concurrent candidate scan): Table 4's SVM
+/// column and the model-zoo columns.
+TrainErrorFn trainingError(ClassifierFactory Factory);
 
 } // namespace metaopt
 

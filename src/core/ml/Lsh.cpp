@@ -4,11 +4,9 @@
 
 #include "linalg/Matrix.h"
 #include "support/Rng.h"
-#include "support/StringUtils.h"
 
 #include <cassert>
 #include <algorithm>
-#include <cstdio>
 #include <limits>
 
 using namespace metaopt;
@@ -124,90 +122,4 @@ unsigned LshNearNeighborClassifier::predict(
     if (Votes[Class] > Votes[Best])
       Best = Class;
   return Best + 1;
-}
-
-std::string LshNearNeighborClassifier::serialize() const {
-  assert(!Points.empty() && "serialize() requires a trained classifier");
-  char Buffer[96];
-  std::string Out = "lsh-model 1\n";
-  std::snprintf(Buffer, sizeof(Buffer), "shape %u %u %.17g %llu\n",
-                Options.NumTables, Options.NumBits, Options.Radius,
-                static_cast<unsigned long long>(Options.Seed));
-  Out += Buffer;
-  Out += Norm.serialize();
-  Out += "points " + std::to_string(Points.size()) + " " +
-         std::to_string(Points[0].size()) + "\n";
-  for (size_t I = 0; I < Points.size(); ++I) {
-    Out += std::to_string(Labels[I]);
-    for (double Coord : Points[I]) {
-      std::snprintf(Buffer, sizeof(Buffer), " %.17g", Coord);
-      Out += Buffer;
-    }
-    Out += '\n';
-  }
-  return Out;
-}
-
-std::optional<LshNearNeighborClassifier>
-LshNearNeighborClassifier::deserialize(const std::string &Text) {
-  std::vector<std::string> Lines = split(Text, '\n');
-  if (Lines.size() < 4 || trim(Lines[0]) != "lsh-model 1")
-    return std::nullopt;
-  std::vector<std::string> Shape = splitWhitespace(Lines[1]);
-  if (Shape.size() != 5 || Shape[0] != "shape")
-    return std::nullopt;
-  auto NumTables = parseInt(Shape[1]);
-  auto NumBits = parseInt(Shape[2]);
-  auto Radius = parseDouble(Shape[3]);
-  auto Seed = parseInt(Shape[4]);
-  if (!NumTables || !NumBits || !Radius || !Seed || *NumTables < 1 ||
-      *NumBits < 1 || *NumBits > 63 || *Radius <= 0.0 || *Seed < 0)
-    return std::nullopt;
-
-  size_t Index = 2;
-  std::optional<Normalizer> Norm = parseNormalizerBlock(Lines, Index);
-  if (!Norm || Lines.size() <= Index)
-    return std::nullopt;
-
-  std::vector<std::string> PointsHeader = splitWhitespace(Lines[Index]);
-  if (PointsHeader.size() != 3 || PointsHeader[0] != "points")
-    return std::nullopt;
-  auto NumPoints = parseInt(PointsHeader[1]);
-  auto Dims = parseInt(PointsHeader[2]);
-  if (!NumPoints || !Dims || *NumPoints < 1 ||
-      *Dims != static_cast<int64_t>(Norm->dimension()) ||
-      Lines.size() < Index + 1 + static_cast<size_t>(*NumPoints))
-    return std::nullopt;
-
-  LshOptions Options;
-  Options.NumTables = static_cast<unsigned>(*NumTables);
-  Options.NumBits = static_cast<unsigned>(*NumBits);
-  Options.Radius = *Radius;
-  Options.Seed = static_cast<uint64_t>(*Seed);
-  LshNearNeighborClassifier Result(Norm->featureSet(), Options);
-  Result.Norm = std::move(*Norm);
-  for (int64_t I = 0; I < *NumPoints; ++I) {
-    std::vector<std::string> Parts =
-        splitWhitespace(Lines[Index + 1 + I]);
-    if (Parts.size() != 1 + static_cast<size_t>(*Dims))
-      return std::nullopt;
-    auto Label = parseInt(Parts[0]);
-    if (!Label || *Label < 1 ||
-        *Label > static_cast<int64_t>(MaxUnrollFactor))
-      return std::nullopt;
-    std::vector<double> Point;
-    Point.reserve(static_cast<size_t>(*Dims));
-    for (int64_t D = 0; D < *Dims; ++D) {
-      auto Coord = parseDouble(Parts[1 + D]);
-      if (!Coord)
-        return std::nullopt;
-      Point.push_back(*Coord);
-    }
-    Result.Points.push_back(std::move(Point));
-    Result.Labels.push_back(static_cast<unsigned>(*Label));
-  }
-  // The hyperplanes are a pure function of the seed, so the restored
-  // tables match the trained ones bit for bit.
-  Result.rebuildTables();
-  return Result;
 }

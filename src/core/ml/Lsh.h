@@ -27,7 +27,6 @@
 #include "core/ml/Classifier.h"
 
 #include <map>
-#include <optional>
 
 namespace metaopt {
 
@@ -49,14 +48,6 @@ public:
   void train(const Dataset &Train) override;
   unsigned predict(const FeatureVector &Features) const override;
 
-  /// Serializes the LSH parameters (including the hyperplane seed),
-  /// normalizer, and point database. deserialize() regrows the hash
-  /// tables deterministically from the seed, so the restored classifier
-  /// is predict-equivalent, buckets and all.
-  std::string serialize() const override;
-  static std::optional<LshNearNeighborClassifier>
-  deserialize(const std::string &Text);
-
   /// Candidate points examined by the last predict() call; the sublinear
   /// claim is that this stays far below the database size.
   size_t lastCandidateCount() const { return LastCandidates; }
@@ -67,8 +58,7 @@ private:
   uint64_t signatureFor(unsigned Table,
                         const std::vector<double> &Point) const;
 
-  /// (Re)draws the hyperplanes from Options.Seed and rebuilds the buckets
-  /// over Points — shared by train() and deserialize().
+  /// Draws the hyperplanes from Options.Seed and buckets Points.
   void rebuildTables();
 
   FeatureSet Features;

@@ -2,12 +2,9 @@
 
 #include "core/ml/Regression.h"
 
-#include "support/StringUtils.h"
-
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdio>
 
 using namespace metaopt;
 
@@ -52,106 +49,6 @@ unsigned KrrUnrollRegressor::predict(const FeatureVector &FeaturesIn) const {
 }
 
 std::vector<double> KrrUnrollRegressor::looValues() {
-  assert(!Points.empty() && "regressor must be trained before LOOCV");
-  // A deserialized model carries only the dual weights; refactor the
-  // kernel system on first use.
-  if (!Solver) {
-    Solver = LsSvmSolver::create(Points, *Kernel, Options.Gamma);
-    assert(Solver && "kernel system must be positive definite");
-  }
+  assert(Solver && "regressor must be trained before LOOCV");
   return Solver->looDecisions(Targets, Machine);
-}
-
-std::string KrrUnrollRegressor::serialize() const {
-  assert(!Points.empty() && "serialize() requires a trained regressor");
-  char Buffer[96];
-  std::string Out = "krr-model 1\n";
-  std::snprintf(Buffer, sizeof(Buffer), "options %.17g %.17g\n",
-                Options.Gamma, Options.SigmaSquaredPerDim);
-  Out += Buffer;
-  Out += Norm.serialize();
-  std::snprintf(Buffer, sizeof(Buffer), "bias %.17g\n", Machine.Bias);
-  Out += Buffer;
-  Out += "points " + std::to_string(Points.size()) + " " +
-         std::to_string(Points[0].size()) + "\n";
-  for (size_t I = 0; I < Points.size(); ++I) {
-    std::snprintf(Buffer, sizeof(Buffer), "%.17g %.17g", Targets[I],
-                  Machine.Alpha[I]);
-    Out += Buffer;
-    for (double Coord : Points[I]) {
-      std::snprintf(Buffer, sizeof(Buffer), " %.17g", Coord);
-      Out += Buffer;
-    }
-    Out += '\n';
-  }
-  return Out;
-}
-
-std::optional<KrrUnrollRegressor>
-KrrUnrollRegressor::deserialize(const std::string &Text) {
-  std::vector<std::string> Lines = split(Text, '\n');
-  if (Lines.size() < 5 || trim(Lines[0]) != "krr-model 1")
-    return std::nullopt;
-  std::vector<std::string> OptionsParts = splitWhitespace(Lines[1]);
-  if (OptionsParts.size() != 3 || OptionsParts[0] != "options")
-    return std::nullopt;
-  auto Gamma = parseDouble(OptionsParts[1]);
-  auto SigmaSquaredPerDim = parseDouble(OptionsParts[2]);
-  if (!Gamma || !SigmaSquaredPerDim || *Gamma <= 0.0 ||
-      *SigmaSquaredPerDim <= 0.0)
-    return std::nullopt;
-
-  size_t Index = 2;
-  std::optional<Normalizer> Norm = parseNormalizerBlock(Lines, Index);
-  if (!Norm || Lines.size() <= Index + 1)
-    return std::nullopt;
-
-  std::vector<std::string> BiasParts = splitWhitespace(Lines[Index]);
-  if (BiasParts.size() != 2 || BiasParts[0] != "bias")
-    return std::nullopt;
-  auto Bias = parseDouble(BiasParts[1]);
-  if (!Bias)
-    return std::nullopt;
-
-  std::vector<std::string> PointsHeader =
-      splitWhitespace(Lines[Index + 1]);
-  if (PointsHeader.size() != 3 || PointsHeader[0] != "points")
-    return std::nullopt;
-  auto NumPoints = parseInt(PointsHeader[1]);
-  auto Dims = parseInt(PointsHeader[2]);
-  if (!NumPoints || !Dims || *NumPoints < 1 ||
-      *Dims != static_cast<int64_t>(Norm->dimension()) ||
-      Lines.size() < Index + 2 + static_cast<size_t>(*NumPoints))
-    return std::nullopt;
-
-  KrrOptions Options;
-  Options.Gamma = *Gamma;
-  Options.SigmaSquaredPerDim = *SigmaSquaredPerDim;
-  KrrUnrollRegressor Result(Norm->featureSet(), Options);
-  Result.Norm = std::move(*Norm);
-  Result.Machine.Bias = *Bias;
-  for (int64_t I = 0; I < *NumPoints; ++I) {
-    std::vector<std::string> Parts =
-        splitWhitespace(Lines[Index + 2 + I]);
-    if (Parts.size() != 2 + static_cast<size_t>(*Dims))
-      return std::nullopt;
-    auto Target = parseDouble(Parts[0]);
-    auto Alpha = parseDouble(Parts[1]);
-    if (!Target || !Alpha)
-      return std::nullopt;
-    std::vector<double> Point;
-    Point.reserve(static_cast<size_t>(*Dims));
-    for (int64_t D = 0; D < *Dims; ++D) {
-      auto Coord = parseDouble(Parts[2 + D]);
-      if (!Coord)
-        return std::nullopt;
-      Point.push_back(*Coord);
-    }
-    Result.Points.push_back(std::move(Point));
-    Result.Targets.push_back(*Target);
-    Result.Machine.Alpha.push_back(*Alpha);
-  }
-  Result.Kernel.emplace(Result.Options.SigmaSquaredPerDim *
-                        static_cast<double>(Result.Features.size()));
-  return Result;
 }

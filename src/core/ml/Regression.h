@@ -48,14 +48,6 @@ public:
   /// which is the capability the paper's future-work section wants.
   double predictValue(const FeatureVector &Features) const;
 
-  /// Serializes the fitted model (hyperparameters, normalizer, dual
-  /// weights and bias, training points and targets); deserialize()
-  /// restores a predict-equivalent regressor. The kernel solver is
-  /// rebuilt lazily only if looValues() is called on a restored model.
-  std::string serialize() const override;
-  static std::optional<KrrUnrollRegressor>
-  deserialize(const std::string &Text);
-
   /// Exact leave-one-out *regression residuals* via the shared LS-SVM
   /// identity; used to report LOOCV without retraining.
   std::vector<double> looValues();

@@ -68,6 +68,8 @@ CaseOutcome runCase(const FuzzCampaignOptions &Options, uint64_t Index) {
 FuzzCampaignResult
 metaopt::runFuzzCampaign(const FuzzCampaignOptions &Options) {
   size_t N = static_cast<size_t>(Options.Iterations);
+  if (Options.Oracle.CheckBundle)
+    prepareBundleOracle();
   std::vector<CaseOutcome> Outcomes = parallelMap<CaseOutcome>(
       N, [&](size_t Index) {
         return runCase(Options, static_cast<uint64_t>(Index));

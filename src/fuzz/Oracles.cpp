@@ -7,10 +7,7 @@
 #include "analysis/symbolic/StrideInterval.h"
 #include "cache/SimCache.h"
 #include "core/features/FeatureExtractor.h"
-#include "core/ml/Dataset.h"
-#include "core/ml/Forest.h"
-#include "core/ml/Mlp.h"
-#include "core/ml/NearNeighbor.h"
+#include "core/ml/Classifier.h"
 #include "exec/Interpreter.h"
 #include "import/Export.h"
 #include "import/Import.h"
@@ -505,11 +502,11 @@ void metaopt::oracleSimCache(const Loop &L, std::vector<OracleFailure> &Out) {
 
 namespace {
 
-/// One trained model per zoo family (NN, MLP, random forest), each
+/// One trained model per servable family of classifierFamilies(), each
 /// serialized through the bundle container and restored — built once per
 /// process, shared by every loop. Every family must survive the
-/// round-trip bit-exactly, so a new classifier added to the registry
-/// gets fuzz coverage by being listed here.
+/// round-trip bit-exactly, so a family gets fuzz coverage by becoming
+/// servable.
 struct BundleFixture {
   struct Family {
     std::string Name;
@@ -535,11 +532,10 @@ struct BundleFixture {
       Ex.BenchmarkName = "fuzz";
       Train.add(Ex);
     }
-    std::vector<std::unique_ptr<Classifier>> Models;
-    Models.push_back(std::make_unique<NearNeighborClassifier>(Features));
-    Models.push_back(std::make_unique<MlpClassifier>(Features));
-    Models.push_back(std::make_unique<RandomForestClassifier>(Features));
-    for (std::unique_ptr<Classifier> &Model : Models) {
+    for (const ClassifierFamily &Servable : classifierFamilies()) {
+      if (!Servable.servable())
+        continue;
+      std::unique_ptr<Classifier> Model = Servable.Make(Features);
       Model->train(Train);
 
       ModelBundle Bundle;
@@ -572,10 +568,17 @@ struct BundleFixture {
   }
 };
 
+const BundleFixture &bundleFixture() {
+  static const BundleFixture Fixture;
+  return Fixture;
+}
+
 } // namespace
 
+void metaopt::prepareBundleOracle() { (void)bundleFixture(); }
+
 void metaopt::oracleBundle(const Loop &L, std::vector<OracleFailure> &Out) {
-  static const BundleFixture Fixture;
+  const BundleFixture &Fixture = bundleFixture();
   if (!Fixture.Error.empty()) {
     fail(Out, "bundle", Fixture.Error);
     return;

@@ -88,6 +88,13 @@ void oracleBundle(const Loop &L, std::vector<OracleFailure> &Out);
 void oracleStaticClaims(const Loop &L, uint64_t Seed,
                         std::vector<OracleFailure> &Out);
 
+/// Trains the bundle oracle's models, once per process. The training runs
+/// parallel regions on the global pool, so callers that fan oracles out
+/// over the pool build it first: a pool task building it could otherwise
+/// steal another case while helping, re-enter oracleBundle and wait on
+/// its own initialization forever.
+void prepareBundleOracle();
+
 /// The static-claims oracle's checking core: replays \p Claims (in the
 /// shape SymbolicAnalysis::claims() produces) against a traced reference
 /// execution of \p L and reports every refuted claim. Exposed separately

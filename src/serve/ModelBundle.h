@@ -68,8 +68,9 @@ struct ModelBundle {
   /// Classifier::serialize() text; embeds the fitted normalizer.
   std::string ClassifierBlob;
 
-  /// Restores the trained classifier from ClassifierBlob via the
-  /// serialization registry. Null when no loader accepts the blob.
+  /// Restores the trained classifier from ClassifierBlob through the
+  /// loaders of classifierFamilies(). Null when no loader accepts the
+  /// blob.
   std::unique_ptr<Classifier> instantiate() const;
 };
 

@@ -36,7 +36,7 @@ PredictionService::PredictionService(ModelBundle BundleIn,
     throw std::runtime_error(
         "model bundle's classifier blob ('" +
         Bundle.Provenance.ClassifierName +
-        "') is not accepted by any registered loader");
+        "') is not accepted by any classifier family's loader");
   if (Options.MaxBatch == 0)
     Options.MaxBatch = 1;
   if (Options.MaxQueue == 0)

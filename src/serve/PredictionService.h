@@ -101,7 +101,7 @@ class PredictionService {
 public:
   /// \p Bundle must have been validated (loadBundleFile succeeded);
   /// construction instantiates the classifier and throws
-  /// std::runtime_error if no registered loader accepts the blob.
+  /// std::runtime_error if no family's loader accepts the blob.
   explicit PredictionService(ModelBundle Bundle,
                              PredictionServiceOptions Options = {});
   ~PredictionService();

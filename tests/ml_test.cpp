@@ -432,7 +432,11 @@ TEST(FeatureSelectionTest, GreedyNeverRepeatsFeatures) {
 
 TEST(FeatureSelectionTest, SvmTrainErrorDrivenGreedy) {
   Dataset Data = cleanDataset(80, 35);
-  auto Steps = greedyFeatureSelection(Data, svmTrainError, 2);
+  auto Steps = greedyFeatureSelection(
+      Data, trainingError([](const FeatureSet &F) {
+        return std::make_unique<SvmClassifier>(F);
+      }),
+      2);
   ASSERT_EQ(Steps.size(), 2u);
   EXPECT_LT(Steps[1].TrainError, 0.15);
 }

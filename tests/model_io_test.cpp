@@ -14,11 +14,9 @@
 #include "core/ml/DecisionTree.h"
 #include "core/ml/Evaluation.h"
 #include "core/ml/Forest.h"
-#include "core/ml/Lsh.h"
 #include "core/ml/Mlp.h"
 #include "core/ml/NearNeighbor.h"
 #include "core/ml/OutputCode.h"
-#include "core/ml/Regression.h"
 #include "support/Rng.h"
 
 #include <cstdio>
@@ -260,98 +258,6 @@ TEST(DtreeIoTest, RejectsCyclicNodeLinks) {
 }
 
 //===----------------------------------------------------------------------===//
-// LSH serialization
-//===----------------------------------------------------------------------===//
-
-TEST(LshIoTest, RoundTripPredictsIdentically) {
-  Dataset Train = cleanDataset(200, 15, 0.1);
-  LshNearNeighborClassifier Lsh(firstTwoFeatures());
-  Lsh.train(Train);
-  std::optional<LshNearNeighborClassifier> Loaded =
-      LshNearNeighborClassifier::deserialize(Lsh.serialize());
-  ASSERT_TRUE(Loaded.has_value());
-  EXPECT_EQ(Loaded->databaseSize(), Lsh.databaseSize());
-  Dataset Queries = cleanDataset(120, 16);
-  for (const Example &Ex : Queries.examples()) {
-    EXPECT_EQ(Loaded->predict(Ex.Features), Lsh.predict(Ex.Features));
-    // The seed-regrown tables must agree bucket for bucket, so the two
-    // classifiers scan the same candidate sets.
-    EXPECT_EQ(Loaded->lastCandidateCount(), Lsh.lastCandidateCount());
-  }
-}
-
-TEST(LshIoTest, SerializationIsStable) {
-  Dataset Train = cleanDataset(80, 17);
-  LshNearNeighborClassifier Lsh(firstTwoFeatures());
-  Lsh.train(Train);
-  std::string First = Lsh.serialize();
-  std::optional<LshNearNeighborClassifier> Loaded =
-      LshNearNeighborClassifier::deserialize(First);
-  ASSERT_TRUE(Loaded.has_value());
-  EXPECT_EQ(Loaded->serialize(), First);
-}
-
-TEST(LshIoTest, RejectsCorruptedInput) {
-  EXPECT_FALSE(LshNearNeighborClassifier::deserialize("").has_value());
-  EXPECT_FALSE(
-      LshNearNeighborClassifier::deserialize("lsh-model 2\n").has_value());
-  Dataset Train = cleanDataset(60, 18);
-  LshNearNeighborClassifier Lsh(firstTwoFeatures());
-  Lsh.train(Train);
-  std::string Good = Lsh.serialize();
-  EXPECT_FALSE(LshNearNeighborClassifier::deserialize(
-                   Good.substr(0, Good.size() / 2))
-                   .has_value());
-}
-
-//===----------------------------------------------------------------------===//
-// Kernel ridge regression serialization
-//===----------------------------------------------------------------------===//
-
-TEST(KrrIoTest, RoundTripPredictsIdentically) {
-  Dataset Train = cleanDataset(120, 19, 0.1);
-  KrrUnrollRegressor Krr(firstTwoFeatures());
-  Krr.train(Train);
-  std::optional<KrrUnrollRegressor> Loaded =
-      KrrUnrollRegressor::deserialize(Krr.serialize());
-  ASSERT_TRUE(Loaded.has_value());
-  Dataset Queries = cleanDataset(80, 20);
-  for (const Example &Ex : Queries.examples()) {
-    EXPECT_EQ(Loaded->predictValue(Ex.Features),
-              Krr.predictValue(Ex.Features)); // Bit-exact via %.17g.
-    EXPECT_EQ(Loaded->predict(Ex.Features), Krr.predict(Ex.Features));
-  }
-}
-
-TEST(KrrIoTest, RestoredModelSupportsLoocv) {
-  Dataset Train = cleanDataset(60, 21);
-  KrrUnrollRegressor Krr(firstTwoFeatures());
-  Krr.train(Train);
-  std::optional<KrrUnrollRegressor> Loaded =
-      KrrUnrollRegressor::deserialize(Krr.serialize());
-  ASSERT_TRUE(Loaded.has_value());
-  // The solver is rebuilt lazily from the restored points.
-  std::vector<double> Original = Krr.looValues();
-  std::vector<double> Restored = Loaded->looValues();
-  ASSERT_EQ(Original.size(), Restored.size());
-  for (size_t I = 0; I < Original.size(); ++I)
-    EXPECT_NEAR(Original[I], Restored[I], 1e-9);
-}
-
-TEST(KrrIoTest, RejectsCorruptedInput) {
-  EXPECT_FALSE(KrrUnrollRegressor::deserialize("").has_value());
-  EXPECT_FALSE(
-      KrrUnrollRegressor::deserialize("krr-model 2\n").has_value());
-  Dataset Train = cleanDataset(50, 22);
-  KrrUnrollRegressor Krr(firstTwoFeatures());
-  Krr.train(Train);
-  std::string Good = Krr.serialize();
-  EXPECT_FALSE(
-      KrrUnrollRegressor::deserialize(Good.substr(0, Good.size() / 2))
-          .has_value());
-}
-
-//===----------------------------------------------------------------------===//
 // MLP serialization
 //===----------------------------------------------------------------------===//
 
@@ -535,36 +441,49 @@ TEST(ForestIoTest, RejectsTamperedEmbeddedTreeWithDiagnostic) {
 }
 
 //===----------------------------------------------------------------------===//
-// Loader registry
+// Classifier family table
 //===----------------------------------------------------------------------===//
 
 TEST(RegistryTest, AllBuiltinsAreRegistered) {
-  std::vector<std::string> Names = registeredClassifierNames();
-  for (const char *Expected :
-       {"near-neighbor", "svm", "svm-ecoc", "decision-tree", "lsh-nn",
-        "krr-regression", "mlp", "random-forest"})
-    EXPECT_NE(std::find(Names.begin(), Names.end(), Expected),
-              Names.end())
-        << "missing loader for " << Expected;
+  std::span<const ClassifierFamily> Families = classifierFamilies();
+  ASSERT_FALSE(Families.empty());
+  for (const ClassifierFamily &Family : Families) {
+    EXPECT_EQ(findClassifierFamily(Family.Name), &Family) << Family.Name;
+    EXPECT_EQ(findClassifierFamily(Family.spelling()), &Family)
+        << Family.Name;
+    EXPECT_NE(Family.Make, nullptr) << Family.Name;
+    EXPECT_NE(Family.Loocv, nullptr) << Family.Name;
+    // Usage and error messages list exactly the servable spellings.
+    std::string Listed = "|" + servableClassifierSpellings("|") + "|";
+    EXPECT_EQ(Listed.find("|" + std::string(Family.spelling()) + "|") !=
+                  std::string::npos,
+              Family.servable())
+        << Family.Name;
+  }
+  EXPECT_EQ(findClassifierFamily("no-such-family"), nullptr);
+}
+
+TEST(RegistryTest, EveryRowBuildsItsNameAndCrossValidates) {
+  Dataset Data = cleanDataset(40, 25, 0.1);
+  for (const ClassifierFamily &Family : classifierFamilies()) {
+    SCOPED_TRACE(Family.Name);
+    EXPECT_EQ(Family.Make(firstTwoFeatures())->name(), Family.Name);
+    std::vector<unsigned> Loocv = Family.Loocv(firstTwoFeatures(), Data);
+    ASSERT_EQ(Loocv.size(), Data.size());
+    for (unsigned Factor : Loocv) {
+      EXPECT_GE(Factor, 1u);
+      EXPECT_LE(Factor, MaxUnrollFactor);
+    }
+  }
 }
 
 TEST(RegistryTest, RestoresEveryBuiltinPolymorphically) {
   Dataset Train = cleanDataset(100, 23);
-  std::vector<std::unique_ptr<Classifier>> Trained;
-  Trained.push_back(
-      std::make_unique<NearNeighborClassifier>(firstTwoFeatures(), 0.3));
-  Trained.push_back(std::make_unique<SvmClassifier>(firstTwoFeatures()));
-  Trained.push_back(
-      std::make_unique<DecisionTreeClassifier>(firstTwoFeatures()));
-  Trained.push_back(
-      std::make_unique<LshNearNeighborClassifier>(firstTwoFeatures()));
-  Trained.push_back(
-      std::make_unique<KrrUnrollRegressor>(firstTwoFeatures()));
-  Trained.push_back(std::make_unique<MlpClassifier>(firstTwoFeatures()));
-  Trained.push_back(
-      std::make_unique<RandomForestClassifier>(firstTwoFeatures()));
   Dataset Queries = cleanDataset(60, 24);
-  for (const auto &Model : Trained) {
+  for (const ClassifierFamily &Family : classifierFamilies()) {
+    if (!Family.servable())
+      continue;
+    std::unique_ptr<Classifier> Model = Family.Make(firstTwoFeatures());
     Model->train(Train);
     std::unique_ptr<Classifier> Loaded =
         deserializeClassifier(Model->serialize(), Model->name());

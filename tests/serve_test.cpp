@@ -15,8 +15,6 @@
 #include "concurrency/ThreadPool.h"
 #include "core/driver/Pipeline.h"
 #include "core/features/FeatureExtractor.h"
-#include "core/ml/Forest.h"
-#include "core/ml/Mlp.h"
 #include "core/ml/NearNeighbor.h"
 #include "core/ml/OutputCode.h"
 #include "serve/Client.h"
@@ -67,34 +65,11 @@ FeatureSet firstThreeFeatures() {
           static_cast<FeatureId>(2)};
 }
 
-/// A trained-NN bundle over the synthetic dataset.
-ModelBundle makeNnBundle(size_t N = 80, uint64_t Seed = 7) {
+/// A trained bundle of \p Family over the synthetic dataset.
+ModelBundle makeFamilyBundle(const ClassifierFamily &Family, size_t N = 80,
+                             uint64_t Seed = 7) {
   Dataset Data = cleanDataset(N, Seed);
-  NearNeighborClassifier Nn(firstThreeFeatures());
-  Nn.train(Data);
-  ModelBundle Bundle;
-  Bundle.Provenance.ClassifierName = Nn.name();
-  Bundle.Provenance.CreatedBy = "serve_test";
-  Bundle.Provenance.MachineName = "itanium2";
-  Bundle.Provenance.CorpusSeed = Seed;
-  Bundle.Provenance.CorpusFingerprint = "deadbeef";
-  Bundle.Provenance.TrainingExamples = N;
-  Bundle.Provenance.CvMethod = "none";
-  Bundle.Features = firstThreeFeatures();
-  Bundle.ClassifierBlob = Nn.serialize();
-  return Bundle;
-}
-
-/// A trained model-zoo bundle ("mlp" or "random-forest") over the same
-/// synthetic dataset as makeNnBundle.
-ModelBundle makeZooBundle(const std::string &Name, size_t N = 80,
-                          uint64_t Seed = 7) {
-  Dataset Data = cleanDataset(N, Seed);
-  std::unique_ptr<Classifier> Model;
-  if (Name == "mlp")
-    Model = std::make_unique<MlpClassifier>(firstThreeFeatures());
-  else
-    Model = std::make_unique<RandomForestClassifier>(firstThreeFeatures());
+  std::unique_ptr<Classifier> Model = Family.Make(firstThreeFeatures());
   Model->train(Data);
   ModelBundle Bundle;
   Bundle.Provenance.ClassifierName = Model->name();
@@ -107,6 +82,11 @@ ModelBundle makeZooBundle(const std::string &Name, size_t N = 80,
   Bundle.Features = firstThreeFeatures();
   Bundle.ClassifierBlob = Model->serialize();
   return Bundle;
+}
+
+/// A trained-NN bundle over the synthetic dataset.
+ModelBundle makeNnBundle(size_t N = 80, uint64_t Seed = 7) {
+  return makeFamilyBundle(*findClassifierFamily("near-neighbor"), N, Seed);
 }
 
 std::string freshDir(const std::string &Name) {
@@ -470,16 +450,17 @@ TEST(PredictionServiceTest, BatchedConcurrentEqualsSerialByteForByte) {
 }
 
 TEST(PredictionServiceTest, ModelZooFamiliesServeByteIdentically) {
-  // Both model-zoo families must serve through the exact same byte-identity
-  // contract as the near-neighbor baseline: the bundle trained at one thread
-  // equals the bundle trained at many, and batched predictions render the
-  // same JSON as serial ones.
-  for (const char *Family : {"mlp", "random-forest"}) {
-    SCOPED_TRACE(Family);
+  // Every servable family must serve through the same byte-identity
+  // contract: the bundle trained at one thread equals the bundle trained
+  // at many, and batched predictions render the same JSON as serial ones.
+  for (const ClassifierFamily &Family : classifierFamilies()) {
+    if (!Family.servable())
+      continue;
+    SCOPED_TRACE(Family.Name);
     ThreadPool::setGlobalThreads(1);
-    ModelBundle Narrow = makeZooBundle(Family);
+    ModelBundle Narrow = makeFamilyBundle(Family);
     ThreadPool::setGlobalThreads(4);
-    ModelBundle Wide = makeZooBundle(Family);
+    ModelBundle Wide = makeFamilyBundle(Family);
     ThreadPool::setGlobalThreads(0); // Restore the default pool.
     EXPECT_EQ(serializeBundle(Narrow), serializeBundle(Wide));
 

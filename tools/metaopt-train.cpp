@@ -18,11 +18,6 @@
 #include "concurrency/ThreadPool.h"
 #include "core/driver/Pipeline.h"
 #include "core/ml/CrossValidation.h"
-#include "core/ml/DecisionTree.h"
-#include "core/ml/Forest.h"
-#include "core/ml/Lsh.h"
-#include "core/ml/Mlp.h"
-#include "core/ml/Regression.h"
 #include "serve/ModelBundle.h"
 #include "support/CommandLine.h"
 
@@ -69,9 +64,10 @@ int main(int Argc, char **Argv) {
                 "corpus and publishes\nit as a model bundle for "
                 "metaopt-serve (docs/SERVING.md).");
   Cli.option("out", "bundle.bin", "where to publish the bundle (required)");
-  Cli.option("classifier",
-             "nn|svm|decision-tree|lsh-nn|krr-regression|mlp|random-forest",
-             "classifier to train (default: nn, the near-neighbor model)");
+  const char *DefaultClassifier = classifierFamilies().front().spelling();
+  Cli.option("classifier", servableClassifierSpellings("|"),
+             std::string("classifier to train (default: ") +
+                 DefaultClassifier + ")");
   Cli.flag("swp", "label with software pipelining enabled (Figure 5)");
   Cli.option("features", "paper|full",
              "feature subset (default: paper, the reduced Section 6 set)");
@@ -109,15 +105,11 @@ int main(int Argc, char **Argv) {
                  Cli.usage().c_str());
     return 2;
   }
-  std::string ClassifierName = Cli.getString("classifier", "nn");
-  if (ClassifierName != "nn" && ClassifierName != "svm" &&
-      ClassifierName != "decision-tree" && ClassifierName != "lsh-nn" &&
-      ClassifierName != "krr-regression" && ClassifierName != "mlp" &&
-      ClassifierName != "random-forest") {
-    std::fprintf(stderr,
-                 "metaopt-train: --classifier must be one of nn, svm, "
-                 "decision-tree, lsh-nn, krr-regression, mlp, "
-                 "random-forest\n");
+  const ClassifierFamily *Family =
+      findClassifierFamily(Cli.getString("classifier", DefaultClassifier));
+  if (!Family || !Family->servable()) {
+    std::fprintf(stderr, "metaopt-train: --classifier must be one of %s\n",
+                 servableClassifierSpellings(", ").c_str());
     return 2;
   }
   std::string FeaturesName = Cli.getString("features", "paper");
@@ -169,50 +161,12 @@ int main(int Argc, char **Argv) {
                                                : paperReducedFeatureSet();
 
   ModelBundle Bundle;
-  std::unique_ptr<Classifier> Trained;
-  if (ClassifierName == "svm") {
-    auto Svm = std::make_unique<SvmClassifier>(Features);
-    Svm->train(Train);
-    if (CvName == "loocv") {
-      Bundle.Provenance.CvAccuracy =
-          predictionAccuracy(Train, loocvPredictions(*Svm, Train));
-      Bundle.Provenance.CvMethod = "loocv";
-    }
-    Trained = std::move(Svm);
-  } else if (ClassifierName == "nn") {
-    auto Nn = std::make_unique<NearNeighborClassifier>(Features);
-    Nn->train(Train);
-    if (CvName == "loocv") {
-      Bundle.Provenance.CvAccuracy =
-          predictionAccuracy(Train, loocvPredictions(*Nn, Train));
-      Bundle.Provenance.CvMethod = "loocv";
-    }
-    Trained = std::move(Nn);
-  } else {
-    // The remaining classifiers have no closed-form LOOCV shortcut;
-    // bruteForceLoocv retrains once per example on the thread pool.
-    ClassifierFactory Factory =
-        [&](const FeatureSet &Subset) -> std::unique_ptr<Classifier> {
-      if (ClassifierName == "decision-tree")
-        return std::make_unique<DecisionTreeClassifier>(Subset);
-      if (ClassifierName == "lsh-nn")
-        return std::make_unique<LshNearNeighborClassifier>(Subset);
-      if (ClassifierName == "mlp")
-        return std::make_unique<MlpClassifier>(Subset);
-      if (ClassifierName == "random-forest")
-        return std::make_unique<RandomForestClassifier>(Subset);
-      return std::make_unique<KrrUnrollRegressor>(Subset);
-    };
-    Trained = Factory(Features);
-    Trained->train(Train);
-    if (CvName == "loocv") {
-      Bundle.Provenance.CvAccuracy = predictionAccuracy(
-          Train, bruteForceLoocv(Factory, Features, Train));
-      Bundle.Provenance.CvMethod = "loocv";
-    }
-  }
-  if (CvName == "none")
-    Bundle.Provenance.CvMethod = "none";
+  std::unique_ptr<Classifier> Trained = Family->Make(Features);
+  Trained->train(Train);
+  if (CvName == "loocv")
+    Bundle.Provenance.CvAccuracy =
+        predictionAccuracy(Train, Family->Loocv(Features, Train));
+  Bundle.Provenance.CvMethod = CvName;
 
   Bundle.Provenance.ClassifierName = Trained->name();
   Bundle.Provenance.CreatedBy =
