@@ -157,8 +157,35 @@ BENCHMARK(BM_SvmTrain)
     ->Arg(200)
     ->Arg(400)
     ->Arg(800)
+    ->Arg(2400)
     ->Unit(benchmark::kMillisecond)
     ->Complexity(benchmark::oNCubed);
+
+/// The factorization alone, on the kernel system the SVM fit builds: the
+/// Figure 4 fit size (1000) and the perfbench pipeline fit size (2400).
+static void BM_CholeskyFactor(benchmark::State &State) {
+  Dataset Data = inflatedDataset(static_cast<size_t>(State.range(0)));
+  FeatureSet Features = paperReducedFeatureSet();
+  Normalizer Norm;
+  Norm.fit(Data.featureMatrix(), Features);
+  std::vector<std::vector<double>> Points;
+  for (const Example &Ex : Data.examples())
+    Points.push_back(Norm.apply(Ex.Features));
+  Matrix A = kernelMatrix(RbfKernel(SvmOptions().SigmaSquaredPerDim *
+                                    static_cast<double>(Features.size())),
+                          Points);
+  A.addToDiagonal(1.0 / SvmOptions().Gamma);
+  for (auto _ : State) {
+    State.PauseTiming();
+    Matrix Copy = A;
+    State.ResumeTiming();
+    benchmark::DoNotOptimize(Cholesky::factor(std::move(Copy)));
+  }
+}
+BENCHMARK(BM_CholeskyFactor)
+    ->Arg(1000)
+    ->Arg(2400)
+    ->Unit(benchmark::kMillisecond);
 
 /// One SVM prediction (n kernel evaluations + decode).
 static void BM_SvmPredict(benchmark::State &State) {

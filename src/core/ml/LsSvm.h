@@ -22,7 +22,7 @@
 ///     f_{-i}(x_i) = y_i - alpha_i / (C^{-1})_{ii}
 ///
 /// (Cawley's LS-SVM LOO identity, with C the bordered matrix) make
-/// full-dataset LOOCV cost one matrix inversion total.
+/// full-dataset LOOCV cost one inverse diagonal total.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,16 +55,21 @@ class LsSvmSolver {
 public:
   /// Factors A = K + I/gamma over \p Points. Returns std::nullopt when the
   /// system is not positive definite (cannot happen for gamma > 0 and a
-  /// valid kernel, but guarded anyway).
+  /// valid kernel, but guarded anyway). When \p Machines is given, the
+  /// bordered system is also solved for every label vector in \p Labels,
+  /// in the same sweep over the factor that computes A^{-1} 1, and the
+  /// results replace *Machines in order; each equals solve(Labels[b]).
   static std::optional<LsSvmSolver>
   create(const std::vector<std::vector<double>> &Points,
-         const RbfKernel &Kernel, double Gamma);
+         const RbfKernel &Kernel, double Gamma,
+         const std::vector<std::vector<double>> &Labels = {},
+         std::vector<LsSvmBinary> *Machines = nullptr);
 
   /// Solves the bordered system for labels \p Y (+1/-1).
   LsSvmBinary solve(const std::vector<double> &Y) const;
 
   /// Exact leave-one-out decision values for a trained binary problem.
-  /// Triggers the one-time O(n^3) inverse computation on first call.
+  /// Triggers the one-time O(n^3) inverse diagonal on first call.
   std::vector<double> looDecisions(const std::vector<double> &Y,
                                    const LsSvmBinary &Trained);
 
@@ -72,6 +77,9 @@ public:
 
 private:
   LsSvmSolver(Cholesky Factor, std::vector<double> V, double S);
+
+  /// The machine for labels y from eta = A^{-1} y.
+  LsSvmBinary fromEta(std::vector<double> Eta) const;
 
   Cholesky Factor;        ///< Cholesky of A = K + I/gamma.
   std::vector<double> V;  ///< A^{-1} * 1.

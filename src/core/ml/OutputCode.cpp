@@ -68,11 +68,6 @@ void SvmClassifier::train(const Dataset &Train) {
   for (const Example &Ex : Train.examples())
     Points.push_back(Norm.apply(Ex.Features));
 
-  Kernel.emplace(Options.SigmaSquaredPerDim *
-                 static_cast<double>(Features.size()));
-  Solver = LsSvmSolver::create(Points, *Kernel, Options.Gamma);
-  assert(Solver && "kernel system must be positive definite");
-
   CodeMatrix = buildCodeMatrix(Options);
   size_t NumBits = CodeMatrix[0].size();
   BitLabels.assign(NumBits, std::vector<double>(Train.size()));
@@ -82,10 +77,12 @@ void SvmClassifier::train(const Dataset &Train) {
       BitLabels[Bit][I] = CodeMatrix[Class][Bit];
   }
 
-  Machines.clear();
-  Machines.reserve(NumBits);
-  for (size_t Bit = 0; Bit < NumBits; ++Bit)
-    Machines.push_back(Solver->solve(BitLabels[Bit]));
+  // Every code bit's machine comes out of the factorization's one solve.
+  Kernel.emplace(Options.SigmaSquaredPerDim *
+                 static_cast<double>(Features.size()));
+  Solver = LsSvmSolver::create(Points, *Kernel, Options.Gamma, BitLabels,
+                               &Machines);
+  assert(Solver && "kernel system must be positive definite");
 }
 
 std::array<double, MaxUnrollFactor>

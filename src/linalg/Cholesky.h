@@ -9,7 +9,9 @@
 /// Cholesky factorization of symmetric positive-definite matrices, used to
 /// train the LS-SVM (the regularized kernel system (K + I/gamma) a = y) and
 /// to compute the inverse diagonal needed by the exact leave-one-out
-/// shortcut.
+/// shortcut. The factorization is cache-blocked, and its contract is bit
+/// identity with the plain column-by-column loop: every entry of L sees the
+/// same multiplies and subtracts in the same order.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,22 +28,21 @@ namespace metaopt {
 /// Holds the lower-triangular Cholesky factor L with A = L * L^T.
 class Cholesky {
 public:
-  /// Factors the symmetric positive-definite matrix \p A. Returns
-  /// std::nullopt if A is not (numerically) positive definite.
-  static std::optional<Cholesky> factor(const Matrix &A);
+  /// Factors the symmetric positive-definite matrix \p A in place; only
+  /// its lower triangle is read. Returns std::nullopt if A is not
+  /// (numerically) positive definite.
+  static std::optional<Cholesky> factor(Matrix A);
 
   /// Solves A x = b given the factorization.
   std::vector<double> solve(const std::vector<double> &B) const;
 
-  /// Solves A X = B column-wise.
+  /// Solves A X = B in one sweep over L for all columns; each column sees
+  /// exactly the operations of a one-column forward and back substitution.
   Matrix solve(const Matrix &B) const;
 
-  /// Returns the full inverse of A. O(n^3); used by the exact LOOCV
-  /// shortcut which needs the inverse's diagonal and rows.
-  Matrix inverse() const;
-
-  /// Returns the log-determinant of A (sum of 2*log(L_ii)).
-  double logDeterminant() const;
+  /// Returns the diagonal of A^-1. O(n^3); the exact LOOCV shortcut needs
+  /// nothing else of the inverse.
+  std::vector<double> inverseDiagonal() const;
 
   size_t order() const { return Factor.rows(); }
   const Matrix &factorMatrix() const { return Factor; }

@@ -9,7 +9,10 @@
 /// A small dense row-major matrix class plus the handful of vector
 /// operations the learning algorithms need (LS-SVM kernel systems, LDA
 /// scatter matrices). No expression templates, no cleverness: the matrices
-/// are at most a few thousand square and the code favors clarity.
+/// are at most a few thousand square and the code favors clarity. The one
+/// deliberate exception is Cholesky::factor, which is cache-blocked
+/// because it dominates LS-SVM training; its contract is bit identity
+/// with the plain scalar loop.
 ///
 //===----------------------------------------------------------------------===//
 

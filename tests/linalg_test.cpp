@@ -5,6 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/ml/Kernel.h"
 #include "linalg/Cholesky.h"
 #include "linalg/Eigen.h"
 #include "linalg/Matrix.h"
@@ -13,6 +14,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <optional>
 
 using namespace metaopt;
 
@@ -162,18 +165,14 @@ TEST(CholeskyTest, InverseTimesOriginalIsIdentity) {
   Matrix A = randomSpd(10, Generator);
   auto Factor = Cholesky::factor(A);
   ASSERT_TRUE(Factor.has_value());
-  Matrix Inverse = Factor->inverse();
-  Matrix Product = A.multiply(Inverse);
-  EXPECT_LT(Product.distanceFrom(Matrix::identity(10)), 1e-8);
-}
-
-TEST(CholeskyTest, LogDeterminantMatchesKnown) {
-  Matrix A(2, 2);
-  A.at(0, 0) = 4;
-  A.at(1, 1) = 9; // det = 36.
-  auto Factor = Cholesky::factor(A);
-  ASSERT_TRUE(Factor.has_value());
-  EXPECT_NEAR(Factor->logDeterminant(), std::log(36.0), 1e-12);
+  // Column j of A^-1 solves A x = e_j; the diagonal must match those
+  // columns' j-th entries, and the columns must invert A.
+  Matrix Inverse = Factor->solve(Matrix::identity(10));
+  EXPECT_LT(A.multiply(Inverse).distanceFrom(Matrix::identity(10)), 1e-8);
+  std::vector<double> Diagonal = Factor->inverseDiagonal();
+  ASSERT_EQ(Diagonal.size(), 10u);
+  for (size_t J = 0; J < 10; ++J)
+    EXPECT_NEAR(Diagonal[J], Inverse.at(J, J), 1e-10) << "entry " << J;
 }
 
 /// Property: solve(A, A*x) == x for random systems of several orders.
@@ -194,6 +193,197 @@ TEST_P(CholeskyRoundTrip, SolveInvertsMultiply) {
 
 INSTANTIATE_TEST_SUITE_P(Orders, CholeskyRoundTrip,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
+
+//===----------------------------------------------------------------------===//
+// Cholesky bit identity
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The plain column-by-column loops the blocked factorization, the
+/// one-sweep solve and inverseDiagonal() must reproduce to the last bit.
+/// Kept verbatim from the original scalar implementation.
+namespace oracle {
+
+std::optional<Matrix> factor(const Matrix &A) {
+  size_t N = A.rows();
+  Matrix L(N, N);
+  for (size_t J = 0; J < N; ++J) {
+    double Diag = A.at(J, J);
+    const double *LRowJ = L.rowPtr(J);
+    for (size_t K = 0; K < J; ++K)
+      Diag -= LRowJ[K] * LRowJ[K];
+    if (Diag <= 0.0 || !std::isfinite(Diag))
+      return std::nullopt;
+    double Pivot = std::sqrt(Diag);
+    L.at(J, J) = Pivot;
+    for (size_t I = J + 1; I < N; ++I) {
+      double Sum = A.at(I, J);
+      const double *LRowI = L.rowPtr(I);
+      for (size_t K = 0; K < J; ++K)
+        Sum -= LRowI[K] * LRowJ[K];
+      L.at(I, J) = Sum / Pivot;
+    }
+  }
+  return L;
+}
+
+std::vector<double> solve(const Matrix &Factor, const std::vector<double> &B) {
+  size_t N = Factor.rows();
+  std::vector<double> Y(N);
+  for (size_t I = 0; I < N; ++I) {
+    double Sum = B[I];
+    const double *Row = Factor.rowPtr(I);
+    for (size_t K = 0; K < I; ++K)
+      Sum -= Row[K] * Y[K];
+    Y[I] = Sum / Row[I];
+  }
+  std::vector<double> X(N);
+  for (size_t I = N; I-- > 0;) {
+    double Sum = Y[I];
+    for (size_t K = I + 1; K < N; ++K)
+      Sum -= Factor.at(K, I) * X[K];
+    X[I] = Sum / Factor.at(I, I);
+  }
+  return X;
+}
+
+/// The diagonal of the original full inverse: L^-1 column by column, then
+/// the J == I entries of L^-T L^-1.
+std::vector<double> inverseDiagonal(const Matrix &Factor) {
+  size_t N = Factor.rows();
+  Matrix Linv(N, N);
+  for (size_t J = 0; J < N; ++J) {
+    Linv.at(J, J) = 1.0 / Factor.at(J, J);
+    for (size_t I = J + 1; I < N; ++I) {
+      double Sum = 0.0;
+      const double *Row = Factor.rowPtr(I);
+      for (size_t K = J; K < I; ++K)
+        Sum -= Row[K] * Linv.at(K, J);
+      Linv.at(I, J) = Sum / Row[I];
+    }
+  }
+  std::vector<double> Diagonal(N);
+  for (size_t I = 0; I < N; ++I) {
+    double Sum = 0.0;
+    for (size_t K = I; K < N; ++K)
+      Sum += Linv.at(K, I) * Linv.at(K, I);
+    Diagonal[I] = Sum;
+  }
+  return Diagonal;
+}
+
+} // namespace oracle
+
+bool sameBits(const std::vector<double> &A, const std::vector<double> &B) {
+  return A.size() == B.size() &&
+         (A.empty() ||
+          std::memcmp(A.data(), B.data(), A.size() * sizeof(double)) == 0);
+}
+
+bool sameBits(const Matrix &A, const Matrix &B) {
+  if (A.rows() != B.rows() || A.cols() != B.cols())
+    return false;
+  for (size_t I = 0; I < A.rows(); ++I)
+    if (std::memcmp(A.rowPtr(I), B.rowPtr(I), A.cols() * sizeof(double)))
+      return false;
+  return true;
+}
+
+/// A symmetric matrix with uniform off-diagonal entries in (-1, 1) and N on
+/// the diagonal: positive definite by diagonal dominance, and cheap to
+/// build at order 1000.
+Matrix dominantSpd(size_t N, Rng &Generator) {
+  Matrix A(N, N);
+  for (size_t I = 0; I < N; ++I) {
+    A.at(I, I) = static_cast<double>(N);
+    for (size_t J = 0; J < I; ++J)
+      A.at(I, J) = A.at(J, I) = Generator.nextDoubleInRange(-1.0, 1.0);
+  }
+  return A;
+}
+
+/// The LS-SVM system K + I/gamma for N Gaussian points in 10-D, with the
+/// RBF width the SVM uses on 10 features and gamma = 10.
+Matrix rbfSystem(size_t N, Rng &Generator) {
+  std::vector<std::vector<double>> Points(N);
+  for (std::vector<double> &Point : Points)
+    Point = randomVector(10, Generator);
+  Matrix A = kernelMatrix(RbfKernel(10.0), Points);
+  A.addToDiagonal(1.0 / 10.0);
+  return A;
+}
+
+/// Factors \p A both ways and memcmps the factor, a vector solve, a
+/// three-column solve (column by column against the oracle's vector
+/// solve) and the inverse diagonal.
+void expectMatchesOracle(const Matrix &A, Rng &Generator) {
+  size_t N = A.rows();
+  std::optional<Matrix> Expected = oracle::factor(A);
+  std::optional<Cholesky> Factor = Cholesky::factor(A);
+  ASSERT_TRUE(Expected.has_value());
+  ASSERT_TRUE(Factor.has_value());
+  EXPECT_TRUE(sameBits(Factor->factorMatrix(), *Expected));
+
+  std::vector<double> B = randomVector(N, Generator);
+  EXPECT_TRUE(sameBits(Factor->solve(B), oracle::solve(*Expected, B)));
+
+  Matrix Rhs(N, 3);
+  for (size_t I = 0; I < N; ++I)
+    for (size_t C = 0; C < 3; ++C)
+      Rhs.at(I, C) = Generator.nextGaussian();
+  Matrix X = Factor->solve(Rhs);
+  for (size_t C = 0; C < 3; ++C) {
+    std::vector<double> Column(N), Solved(N);
+    for (size_t I = 0; I < N; ++I) {
+      Column[I] = Rhs.at(I, C);
+      Solved[I] = X.at(I, C);
+    }
+    EXPECT_TRUE(sameBits(Solved, oracle::solve(*Expected, Column)))
+        << "column " << C;
+  }
+
+  EXPECT_TRUE(
+      sameBits(Factor->inverseDiagonal(), oracle::inverseDiagonal(*Expected)));
+}
+
+} // namespace
+
+/// Orders around the block width (32) and the register tile (4), a
+/// multi-block order that leaves ragged tiles, and the Figure 4 fit size.
+class CholeskyBitIdentity : public ::testing::TestWithParam<int> {};
+
+TEST_P(CholeskyBitIdentity, RandomSpdMatchesOracle) {
+  Rng Generator(300 + GetParam());
+  expectMatchesOracle(dominantSpd(static_cast<size_t>(GetParam()), Generator),
+                      Generator);
+}
+
+TEST_P(CholeskyBitIdentity, RbfKernelSystemMatchesOracle) {
+  Rng Generator(400 + GetParam());
+  expectMatchesOracle(rbfSystem(static_cast<size_t>(GetParam()), Generator),
+                      Generator);
+}
+
+INSTANTIATE_TEST_SUITE_P(Orders, CholeskyBitIdentity,
+                         ::testing::Values(1, 2, 3, 31, 32, 33, 67, 257,
+                                           1000));
+
+TEST(CholeskyTest, RejectsIndefinitePivotInSecondBlockLikeOracle) {
+  Rng Generator(8);
+  Matrix A = dominantSpd(67, Generator);
+  A.at(40, 40) = -1.0; // Column 40 is in the second 32-column block.
+  EXPECT_FALSE(oracle::factor(A).has_value());
+  EXPECT_FALSE(Cholesky::factor(A).has_value());
+  // Every column before the bad pivot factors: the leading 40x40 block is
+  // positive definite both ways.
+  Matrix Leading(40, 40);
+  for (size_t I = 0; I < 40; ++I)
+    for (size_t J = 0; J < 40; ++J)
+      Leading.at(I, J) = A.at(I, J);
+  EXPECT_TRUE(oracle::factor(Leading).has_value());
+  EXPECT_TRUE(Cholesky::factor(Leading).has_value());
+}
 
 //===----------------------------------------------------------------------===//
 // Eigen

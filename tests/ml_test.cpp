@@ -5,12 +5,16 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/driver/LabelCollector.h"
+#include "core/features/FeatureCatalog.h"
 #include "core/ml/CrossValidation.h"
 #include "core/ml/Evaluation.h"
 #include "core/ml/FeatureSelection.h"
 #include "core/ml/Lda.h"
 #include "core/ml/NearNeighbor.h"
 #include "core/ml/OutputCode.h"
+#include "corpus/BenchmarkSuite.h"
+#include "support/Fingerprint.h"
 
 #include <gtest/gtest.h>
 
@@ -316,6 +320,37 @@ TEST(SvmClassifierTest, FastLoocvMatchesBruteForce) {
     Agree += Fast[I] == Slow[I];
   // Normalizer refit differences allow rare disagreement near boundaries.
   EXPECT_GE(Agree, Data.size() - 3);
+}
+
+/// The paper SVM on a seeded quick corpus (6-10 loops per benchmark, SWP
+/// off, about 600 examples: many Cholesky blocks and ragged tiles), pinned
+/// by digest. The blocked factorization, the one-sweep solve and the
+/// inverse-diagonal LOOCV must reproduce, bit for bit, the model and the
+/// LOOCV predictions the unblocked scalar loops made.
+TEST(SvmClassifierTest, QuickCorpusModelAndLoocvDigestsArePinned) {
+  CorpusOptions Corpus;
+  Corpus.Seed = 14;
+  Corpus.MinLoopsPerBenchmark = 6;
+  Corpus.MaxLoopsPerBenchmark = 10;
+  LabelingOptions Labeling;
+  Labeling.EnableSwp = false;
+  Dataset Data = collectLabels(buildCorpus(Corpus), Labeling);
+  ASSERT_GT(Data.size(), 500u);
+
+  SvmClassifier Svm(paperReducedFeatureSet());
+  Svm.train(Data);
+  // Both digests were taken with the original unblocked Cholesky, its
+  // column-at-a-time solve and its full inverse.
+  FingerprintHasher Model;
+  Model.str(Svm.serialize());
+  EXPECT_EQ(Model.digest().Hi, 0x01a64dc865277a4fULL);
+  EXPECT_EQ(Model.digest().Lo, 0x145acdf4eafcad13ULL);
+
+  FingerprintHasher Loocv;
+  for (unsigned Prediction : loocvPredictions(Svm, Data))
+    Loocv.u64(Prediction);
+  EXPECT_EQ(Loocv.digest().Hi, 0xdcfb3c4f6447acdbULL);
+  EXPECT_EQ(Loocv.digest().Lo, 0x6d3837a206e77428ULL);
 }
 
 TEST(SvmClassifierTest, EcocAlsoLearns) {
