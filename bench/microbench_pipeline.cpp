@@ -12,16 +12,17 @@
 // The labeling experiment compares two implementations of collectLabels:
 //
 //   mode="serial-reference"  PruneEquivalent off, one thread: every
-//                            (loop, factor) runs the full simulateLoop
-//                            pipeline. This is the semantics anchor.
+//                            (loop, factor) runs simulateLoop on its
+//                            own, through the same scheduler, liveness
+//                            pass and cost model as production.
 //   mode="production"        PruneEquivalent on (class-shared compiled
 //                            plans + the structural body cache,
 //                            sim/SimCompile.h), at each requested thread
 //                            count.
 //
-// speedup_vs_serial is production time over the serial reference, so it
-// measures the *algorithmic* win (batching + dedup + compiled fast path)
-// plus whatever thread scaling the host actually offers — each row
+// speedup_vs_serial is serial-reference time over production time, so it
+// measures the *algorithmic* win (batching + class pruning + body
+// sharing) plus whatever thread scaling the host actually offers — each row
 // carries hw_threads because on a single-hardware-thread container the
 // pool cannot add anything and the trajectory would otherwise read as a
 // scaling bug (the flat 1.00x/0.97x rows this bench used to report were
@@ -149,7 +150,7 @@ void benchLabeling(const std::vector<Benchmark> &Corpus, bool EnableSwp,
                                    /*Threads=*/1, Full, EnableSwp,
                                    /*RefSeconds=*/0.0, "", &RefSeconds);
 
-  // Production: batched class plans + compiled fast path, per thread
+  // Production: batched class plans + body sharing, per thread
   // count. Byte-identity with the reference CSV is asserted per row.
   Options.PruneEquivalent = true;
   for (unsigned Threads : ThreadCounts)

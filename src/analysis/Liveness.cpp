@@ -3,136 +3,123 @@
 #include "analysis/Liveness.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
-#include <map>
-#include <numeric>
-#include <set>
+#include <limits>
 
 using namespace metaopt;
 
+namespace {
+
+constexpr uint32_t NoPos = std::numeric_limits<uint32_t>::max();
+
+constexpr uint8_t RegControl = 1;    ///< Dest or operand of loop control.
+constexpr uint8_t RegPhiDest = 2;    ///< Loop::isPhiDest.
+constexpr uint8_t RegDefined = 4;    ///< !Loop::isLiveIn.
+constexpr uint8_t RegAcrossBack = 8; ///< Phi recurrence source.
+
+} // namespace
+
+// Every register gets one inclusive live interval [Begin, End] of
+// positions in the evaluation order; the pass adds +1 at Begin and -1 at
+// End + 1 of a per-class delta array and sweeps positions [0, N) once.
+// End is at most N (recurrence sources), so the arrays hold N + 2 slots.
 LivenessInfo metaopt::analyzeLiveness(const Loop &L,
                                       const std::vector<uint32_t> &Order) {
   const std::vector<Instruction> &Body = L.body();
   size_t N = Body.size();
-
-  std::vector<uint32_t> Sequence = Order;
-  if (Sequence.empty()) {
-    Sequence.resize(N);
-    std::iota(Sequence.begin(), Sequence.end(), 0);
-  }
-  assert(Sequence.size() == N && "order must cover the whole body");
+  unsigned R = L.numRegs();
+  assert((Order.empty() || Order.size() == N) &&
+         "order must cover the whole body");
 
   // Position of each body instruction in the evaluation order.
-  std::vector<uint32_t> Position(N, 0);
-  for (uint32_t Pos = 0; Pos < Sequence.size(); ++Pos)
-    Position[Sequence[Pos]] = Pos;
+  std::vector<uint32_t> Position(N);
+  for (uint32_t Pos = 0; Pos < N; ++Pos)
+    Position[Order.empty() ? Pos : Order[Pos]] = Pos;
 
-  // Which registers recur into the next iteration (live to the end).
-  std::map<RegId, bool> LiveAcrossBack;
-  for (const PhiNode &Phi : L.phis())
-    LiveAcrossBack[Phi.Recur] = true;
-
-  LivenessInfo Info;
-
-  // Live interval per register: [DefPos, LastUsePos]. Phi destinations are
-  // live from position 0; recurrence sources extend to the end; live-ins
-  // are live everywhere and counted separately.
-  struct Interval {
-    uint32_t Begin = 0;
-    uint32_t End = 0;
-    RegClass RC = RegClass::Int;
-  };
-  std::vector<Interval> Intervals;
-
-  // Loop-control registers (the induction variable and trip-test
-  // predicate) live in dedicated machine state (counted-branch registers)
-  // and do not contribute to allocatable pressure.
-  std::map<RegId, uint32_t> DefPos;
-  for (uint32_t I = 0; I < N; ++I)
-    if (Body[I].hasDest() && !Body[I].isLoopControl())
-      DefPos[Body[I].Dest] = Position[I];
-
-  std::map<RegId, uint32_t> LastUse;
-  auto NoteUse = [&](RegId Reg, uint32_t Pos) {
-    auto It = LastUse.find(Reg);
-    if (It == LastUse.end())
-      LastUse[Reg] = Pos;
-    else
-      It->second = std::max(It->second, Pos);
-  };
-  for (uint32_t I = 0; I < N; ++I) {
-    if (Body[I].isLoopControl())
-      continue;
-    for (RegId Operand : Body[I].Operands)
-      NoteUse(Operand, Position[I]);
-    if (Body[I].Pred != NoReg)
-      NoteUse(Body[I].Pred, Position[I]);
+  std::vector<uint8_t> Flags(R, 0);
+  std::vector<uint32_t> DefPos(R, NoPos);
+  std::vector<uint32_t> LastUse(R, NoPos);
+  for (const PhiNode &Phi : L.phis()) {
+    if (Phi.Recur != NoReg)
+      Flags[Phi.Recur] |= RegAcrossBack;
+    if (Phi.Dest != NoReg)
+      Flags[Phi.Dest] |= RegPhiDest | RegDefined;
   }
-
-  uint32_t EndPos = static_cast<uint32_t>(N);
-
-  // Registers defined by the loop-control tail are excluded entirely.
-  std::set<RegId> ControlRegs;
-  for (const Instruction &Instr : Body)
+  for (uint32_t I = 0; I < N; ++I) {
+    const Instruction &Instr = Body[I];
+    if (Instr.hasDest())
+      Flags[Instr.Dest] |= RegDefined;
+    // Loop-control registers (the induction variable and trip-test
+    // predicate) live in dedicated machine state (counted-branch
+    // registers) and do not contribute to allocatable pressure.
     if (Instr.isLoopControl()) {
       if (Instr.hasDest())
-        ControlRegs.insert(Instr.Dest);
+        Flags[Instr.Dest] |= RegControl;
       for (RegId Operand : Instr.Operands)
-        ControlRegs.insert(Operand);
-    }
-
-  for (RegId Reg = 0; Reg < L.numRegs(); ++Reg) {
-    if (ControlRegs.count(Reg))
+        Flags[Operand] |= RegControl;
       continue;
-    if (L.isLiveIn(Reg)) {
+    }
+    uint32_t Pos = Position[I];
+    if (Instr.hasDest())
+      DefPos[Instr.Dest] = Pos;
+    auto NoteUse = [&](RegId Reg) {
+      if (LastUse[Reg] == NoPos || LastUse[Reg] < Pos)
+        LastUse[Reg] = Pos;
+    };
+    for (RegId Operand : Instr.Operands)
+      NoteUse(Operand);
+    if (Instr.Pred != NoReg)
+      NoteUse(Instr.Pred);
+  }
+
+  LivenessInfo Info;
+  uint32_t EndPos = static_cast<uint32_t>(N);
+  std::array<std::vector<int>, 3> Delta;
+  for (std::vector<int> &D : Delta)
+    D.assign(N + 2, 0);
+
+  for (RegId Reg = 0; Reg < R; ++Reg) {
+    uint8_t F = Flags[Reg];
+    if (F & RegControl)
+      continue;
+    if (!(F & RegDefined)) {
       // Invariant inputs occupy a register for the whole loop; only count
       // ones that are actually read (phi initial values are consumed
       // before the steady state and are not loop-long pressure).
-      if (LastUse.count(Reg))
+      if (LastUse[Reg] != NoPos)
         ++Info.NumLiveIn;
       continue;
     }
-    Interval Iv;
-    Iv.RC = L.regClass(Reg);
-    if (L.isPhiDest(Reg)) {
-      Iv.Begin = 0;
-      auto Use = LastUse.find(Reg);
-      Iv.End = Use == LastUse.end() ? 0 : Use->second;
+    // Phi destinations are live from position 0; temporaries from their
+    // definition to their last use (or just the definition when unread).
+    uint32_t Begin = 0, End = 0;
+    if (F & RegPhiDest) {
+      End = LastUse[Reg] == NoPos ? 0 : LastUse[Reg];
     } else {
-      auto Def = DefPos.find(Reg);
-      if (Def == DefPos.end())
+      if (DefPos[Reg] == NoPos)
         continue; // Unused register id.
-      Iv.Begin = Def->second;
-      auto Use = LastUse.find(Reg);
-      Iv.End = Use == LastUse.end() ? Iv.Begin : std::max(Iv.Begin,
-                                                          Use->second);
+      Begin = DefPos[Reg];
+      End = LastUse[Reg] == NoPos ? Begin : std::max(Begin, LastUse[Reg]);
     }
-    if (LiveAcrossBack.count(Reg)) {
-      Iv.End = EndPos;
+    // Recurrence sources stay live to the end of the body.
+    if (F & RegAcrossBack) {
+      End = EndPos;
       ++Info.NumAcrossBack;
     }
-    Intervals.push_back(Iv);
+    std::vector<int> &D = Delta[static_cast<unsigned>(L.regClass(Reg))];
+    ++D[Begin];
+    --D[End + 1];
   }
 
-  // Sweep the positions counting overlaps per class.
+  int Live[3] = {0, 0, 0};
   double LiveSum = 0.0;
   for (uint32_t Pos = 0; Pos < EndPos; ++Pos) {
-    unsigned LiveInt = 0, LiveFloat = 0, LivePred = 0;
-    for (const Interval &Iv : Intervals) {
-      if (Pos < Iv.Begin || Pos > Iv.End)
-        continue;
-      switch (Iv.RC) {
-      case RegClass::Int:
-        ++LiveInt;
-        break;
-      case RegClass::Float:
-        ++LiveFloat;
-        break;
-      case RegClass::Pred:
-        ++LivePred;
-        break;
-      }
-    }
+    for (unsigned C = 0; C < 3; ++C)
+      Live[C] += Delta[C][Pos];
+    unsigned LiveInt = static_cast<unsigned>(Live[0]);
+    unsigned LiveFloat = static_cast<unsigned>(Live[1]);
+    unsigned LivePred = static_cast<unsigned>(Live[2]);
     Info.MaxLiveInt = std::max(Info.MaxLiveInt, LiveInt);
     Info.MaxLiveFloat = std::max(Info.MaxLiveFloat, LiveFloat);
     Info.MaxLivePred = std::max(Info.MaxLivePred, LivePred);

@@ -257,10 +257,11 @@ Dataset metaopt::collectLabels(const std::vector<Benchmark> &Corpus,
                           Options);
     });
   } else {
-    // Reference path, deliberately untouched: one cachedSimulateLoop per
-    // (loop, factor) through the full pipeline. This is the baseline the
-    // bench's speedup_vs_serial rows and the identity tests compare
-    // against.
+    // Unpruned path: one cachedSimulateLoop per (loop, factor), no class
+    // sharing, no batching, no body-stats cache. It runs the same
+    // simulator, so it checks the pruner and the batching rather than the
+    // simulator; the pruned-vs-unpruned identity tests, perf_test and the
+    // bench's speedup_vs_serial rows compare against it.
     Leaders.resize(Loops.size());
     for (size_t I = 0; I < Loops.size(); ++I) {
       Leaders[I] = static_cast<uint32_t>(I);

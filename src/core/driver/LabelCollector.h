@@ -63,7 +63,7 @@ struct LabelingStats {
   size_t EquivalenceClasses = 0; ///< Distinct canonical-sim classes.
   size_t SimulationsRun = 0;     ///< simulateLoop requests issued.
   size_t SimulationsPruned = 0;  ///< Requests avoided by class sharing.
-  /// Body-level structural sharing inside the compiled fast path
+  /// Body-level structural sharing inside the compiled plans
   /// (sim/SimCompile.h): unique post-memopt bodies actually scheduled,
   /// and schedule/liveness computations avoided because a structurally
   /// identical body (same canonical structure, any trip count) was

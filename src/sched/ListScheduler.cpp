@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
+#include <numeric>
 
 using namespace metaopt;
 
@@ -65,6 +67,26 @@ private:
 
 } // namespace
 
+// Cycle-driven list scheduling. Each cycle offers the nodes whose
+// enforced predecessors have all issued and whose operands are ready, in
+// priority order (height descending, body index ascending), and issues
+// every one the resource table accepts. The priority is a strict total
+// order that never changes, so one statically sorted order scanned per
+// cycle visits each cycle's candidates in issue order without rebuilding
+// and re-sorting a candidate list. Two invariants make that scan equal to
+// collecting the cycle's candidates up front and then issuing them:
+//
+//  - Cycle-start snapshot: a node is a candidate only if its last enforced
+//    predecessor issued in an *earlier* cycle. ReadyFrom[Dst] = Cycle + 1,
+//    stamped when the count reaches zero mid-cycle, defers such a node to
+//    the next cycle; without it, the successor of a delay-0 enforced edge
+//    would issue in the same cycle as its predecessor.
+//
+//  - No mid-cycle constraint changes for eligible nodes: if a node is
+//    eligible this cycle, all its enforced predecessors issued before the
+//    cycle began, so no issue during the scan can raise its
+//    EarliestCycle. Checking eligibility at visit time is therefore the
+//    same as checking at cycle start.
 Schedule metaopt::listSchedule(const Loop &L, const DependenceGraph &DG,
                                const MachineModel &Machine) {
   size_t N = DG.numNodes();
@@ -93,66 +115,87 @@ Schedule metaopt::listSchedule(const Loop &L, const DependenceGraph &DG,
       Height[Node] = std::max(Height[Node], Delay + Height[Edge.Dst]);
     }
   }
+  std::vector<uint32_t> Prio(N);
+  std::iota(Prio.begin(), Prio.end(), 0);
+  std::sort(Prio.begin(), Prio.end(), [&](uint32_t A, uint32_t B) {
+    if (Height[A] != Height[B])
+      return Height[A] > Height[B];
+    return A < B;
+  });
 
   // Remaining enforced predecessor counts and earliest-issue constraints.
   std::vector<int> PredsLeft(N, 0);
   for (const DepEdge &Edge : DG.edges())
     if (Enforced(Edge))
       ++PredsLeft[Edge.Dst];
-
   std::vector<uint32_t> EarliestCycle(N, 0);
-  std::vector<bool> Done(N, false);
-  std::vector<uint32_t> Ready;
-  for (uint32_t Node = 0; Node < N; ++Node)
-    if (PredsLeft[Node] == 0)
-      Ready.push_back(Node);
+  std::vector<uint32_t> ReadyFrom(N, 0);
+  std::vector<char> Done(N, 0);
 
   ResourceTable Resources(Machine);
   size_t Scheduled = 0;
   uint32_t Cycle = 0;
   // Guard against livelock; any body schedules in far fewer cycles.
   uint32_t CycleCap = static_cast<uint32_t>(64 * N + 1024);
+  constexpr uint32_t Never = std::numeric_limits<uint32_t>::max();
 
+  // Two scan reductions, neither of which can change an issue decision:
+  //  - Issued nodes are stably compacted out of the priority order; the
+  //    surviving nodes are visited in the same relative order.
+  //  - A cycle in which no node passed the dependence/readiness checks
+  //    changed no state (tryIssue was never reached), so Cycle jumps
+  //    straight to the earliest ReadyFrom/EarliestCycle constraint among
+  //    dependence-free nodes instead of re-scanning every empty cycle.
+  size_t Active = N;
   while (Scheduled < N && Cycle < CycleCap) {
-    // Candidates ready this cycle, highest priority first.
-    std::vector<uint32_t> Candidates;
-    for (uint32_t Node : Ready)
-      if (!Done[Node] && EarliestCycle[Node] <= Cycle)
-        Candidates.push_back(Node);
-    std::sort(Candidates.begin(), Candidates.end(),
-              [&](uint32_t A, uint32_t B) {
-                if (Height[A] != Height[B])
-                  return Height[A] > Height[B];
-                return A < B;
-              });
-
-    for (uint32_t Node : Candidates) {
+    bool AnyEligible = false;
+    bool AnyIssued = false;
+    uint32_t NextReady = Never;
+    for (size_t PI = 0; PI < Active; ++PI) {
+      uint32_t Node = Prio[PI];
+      if (Done[Node] || PredsLeft[Node] != 0)
+        continue;
+      uint32_t ReadyAt = std::max(ReadyFrom[Node], EarliestCycle[Node]);
+      if (ReadyAt > Cycle) {
+        NextReady = std::min(NextReady, ReadyAt);
+        continue;
+      }
+      AnyEligible = true;
       if (!Resources.tryIssue(L.body()[Node]))
         continue;
-      Done[Node] = true;
+      Done[Node] = 1;
       Result.CycleOf[Node] = Cycle;
+      AnyIssued = true;
       ++Scheduled;
       for (uint32_t EdgeIdx : DG.successors(Node)) {
         const DepEdge &Edge = DG.edge(EdgeIdx);
         if (!Enforced(Edge))
           continue;
-        uint32_t ReadyAt =
+        uint32_t SuccReady =
             Cycle +
             static_cast<uint32_t>(schedEdgeDelay(Edge, L, EffectiveLatency));
-        EarliestCycle[Edge.Dst] =
-            std::max(EarliestCycle[Edge.Dst], ReadyAt);
+        EarliestCycle[Edge.Dst] = std::max(EarliestCycle[Edge.Dst], SuccReady);
         if (--PredsLeft[Edge.Dst] == 0)
-          Ready.push_back(Edge.Dst);
+          ReadyFrom[Edge.Dst] = Cycle + 1;
       }
     }
+    if (AnyIssued) {
+      size_t Kept = 0;
+      for (size_t PI = 0; PI < Active; ++PI)
+        if (!Done[Prio[PI]])
+          Prio[Kept++] = Prio[PI];
+      Active = Kept;
+    }
     Resources.nextCycle();
-    ++Cycle;
+    if (!AnyEligible && NextReady != Never && NextReady > Cycle + 1)
+      Cycle = NextReady;
+    else
+      ++Cycle;
   }
   assert(Scheduled == N && "list scheduler failed to place all operations");
 
   Result.Order.resize(N);
-  for (uint32_t Node = 0; Node < N; ++Node)
-    Result.Order[Node] = Node;
+  std::iota(Result.Order.begin(), Result.Order.end(), 0);
   std::sort(Result.Order.begin(), Result.Order.end(),
             [&](uint32_t A, uint32_t B) {
               if (Result.CycleOf[A] != Result.CycleOf[B])

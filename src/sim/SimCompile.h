@@ -1,4 +1,4 @@
-//===- sim/SimCompile.h - Compiled simulation fast path ---------*- C++ -*-===//
+//===- sim/SimCompile.h - Compile once, evaluate per context ----*- C++ -*-===//
 //
 // Part of the metaopt project, a reproduction of "Predicting Unroll Factors
 // Using Supervised Classification" (Stephenson & Amarasinghe, CGO 2005).
@@ -6,22 +6,22 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The compiled fast path for the labeling hot loop: simulateLoop() split
-/// into a context-independent *compile* step and a cheap per-context
-/// *evaluate* step.
+/// The simulator split into a context-independent *compile* step and a
+/// cheap per-context *evaluate* step; simulateLoop() (sim/Simulator.h) is
+/// the two run back to back for one factor.
 ///
-/// simulateLoop(L, F, Machine, Ctx, Swp) runs, per call: unroll ->
-/// symbolic analysis -> memory optimization -> dependence graph -> list
-/// schedule -> liveness -> cost model. Of those, only the final cost
-/// arithmetic reads the SimContext (cache shares, d-cache rates, register
-/// budgets); everything upstream depends on the loop structure, the
-/// factor, and the machine alone. The labeling sweep exploits that twice:
+/// Simulating a loop at a factor runs: unroll -> symbolic analysis ->
+/// memory optimization -> dependence graph -> list schedule -> liveness ->
+/// cost model. Of those, only the final cost arithmetic reads the
+/// SimContext (cache shares, d-cache rates, register budgets); everything
+/// upstream depends on the loop structure, the factor, and the machine
+/// alone. The labeling sweep exploits that twice:
 ///
 ///  1. compileLoopSim() runs the structure-dependent pipeline ONCE per
 ///     (loop, machine, swp) for all eight factors and bakes the results
-///     into a LoopSimPlan of plain numbers. evaluatePlan() then reproduces
-///     simulateLoop's result for any SimContext with a handful of
-///     floating-point operations — so one sim-equivalence class
+///     into a LoopSimPlan of plain numbers. evaluatePlan() then produces
+///     the SimResult for any SimContext with a handful of floating-point
+///     operations — so one sim-equivalence class
 ///     (analysis/symbolic/Canonical.h) compiles one plan and evaluates it
 ///     under every member's own context, byte-identically to simulating
 ///     each member from scratch.
@@ -41,11 +41,12 @@
 /// labeling pruner folds the budgets into the class key when SWP is
 /// enabled (core/driver/LabelCollector.cpp).
 ///
-/// simulateLoop() itself is untouched and stays the semantics anchor: the
-/// perf suite asserts compile+evaluate == simulateLoop over the whole
-/// synthetic corpus and the fuzz seed corpus (tests/perf_test.cpp), and
-/// the fast path reuses the reference's own latency/delay/enforcement
-/// model (sched/ScheduleValidate.h) rather than re-deriving it.
+/// There is one list scheduler (sched/ListScheduler.h), one liveness pass
+/// (analysis/Liveness.h) and one copy of each cost term
+/// (sim/Simulator.cpp), shared by simulateLoop and the plans. Their
+/// independent checks are the golden digests in tests/sim_golden_test.cpp,
+/// validateListSchedule (sched/ScheduleValidate.h), and the fuzzer's
+/// scheduler and static-claims oracles.
 ///
 /// See docs/PERF.md for the design rationale and measurements.
 ///
@@ -86,8 +87,8 @@ struct SimBodyStats {
   size_t BodyOps = 0;
   /// Loads that pay their own d-cache access (unpaired).
   unsigned UnpairedLoads = 0;
-  /// Sum of ExitIf taken-probabilities in body order (FP addition order
-  /// matters for bit-identity with the reference) and their count.
+  /// Sum of ExitIf taken-probabilities in body order (the FP addition
+  /// order is part of the pinned results) and their count.
   double ExitProbSum = 0.0;
   unsigned ExitCount = 0;
 };
@@ -105,8 +106,8 @@ struct CompiledFactor {
 };
 
 /// Context-independent compilation of one loop at every unroll factor —
-/// everything evaluatePlan() needs to reproduce simulateLoop() for an
-/// arbitrary SimContext (same register budgets required when Swp).
+/// everything evaluatePlan() needs to produce simulateLoop()'s result for
+/// an arbitrary SimContext (same register budgets required when Swp).
 struct LoopSimPlan {
   /// For diagnostics: evaluatePlan throws the same exceptions, with the
   /// same loop name, as simulateLoop would.
@@ -117,9 +118,9 @@ struct LoopSimPlan {
   /// with the same flag the plan was compiled with.
   bool Swp = false;
   std::array<CompiledFactor, MaxUnrollFactor> Factors;
-  /// Epilogue body stats, shared by every factor with Trip % F > 0. The
-  /// reference recompiles the epilogue per factor; it is the same
-  /// memopt(L) body each time, so the plan computes it once.
+  /// Epilogue body stats, shared by every factor with Trip % F > 0: the
+  /// leftover iterations run the same memopt(L) body at every factor, so
+  /// the plan computes it once.
   bool HasEpilogue = false;
   SimBodyStats Epilogue;
 };
@@ -151,7 +152,7 @@ private:
   mutable std::atomic<uint64_t> Misses{0};
 };
 
-/// Runs the structure-dependent half of simulateLoop for every factor in
+/// Runs the structure-dependent half of the simulator for every factor in
 /// [1, MaxUnrollFactor]: unroll, memory-optimize, schedule (modulo when
 /// \p EnableSwp, against \p Ctx's register budgets), measure liveness.
 /// \p Cache, when non-null, shares body stats across structurally
@@ -161,11 +162,11 @@ LoopSimPlan compileLoopSim(const Loop &L, const MachineModel &Machine,
                            const SimContext &Ctx, bool EnableSwp,
                            SimBodyStatsCache *Cache = nullptr);
 
-/// Replays the cost model over a compiled plan: byte-identical to
+/// Applies the cost model to a compiled plan: byte-identical to
 /// simulateLoop(L, Factor, Machine, Ctx, EnableSwp) for the loop the plan
 /// was compiled from, any \p Ctx (same register budgets when the plan was
 /// compiled with SWP), and the same \p Machine. Throws
-/// std::invalid_argument on an out-of-range factor, as the reference does.
+/// std::invalid_argument on an out-of-range factor, as simulateLoop does.
 SimResult evaluatePlan(const LoopSimPlan &Plan, unsigned Factor,
                        const MachineModel &Machine, const SimContext &Ctx);
 

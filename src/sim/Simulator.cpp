@@ -1,22 +1,38 @@
 //===- sim/Simulator.cpp --------------------------------------------------===//
+//
+// The simulator: compileLoopSim() runs the context-independent pipeline
+// (unroll -> symbolic analysis -> memory optimization -> schedule ->
+// liveness) per factor, and evaluatePlan() applies the cost model under a
+// SimContext. simulateLoop() compiles just the requested factor (plus the
+// epilogue body when the trip count leaves one) and evaluates it, so the
+// whole cost model below exists exactly once. tests/sim_golden_test.cpp
+// pins every result bit for bit.
+//
+//===----------------------------------------------------------------------===//
 
 #include "sim/Simulator.h"
 
 #include "analysis/DependenceGraph.h"
 #include "analysis/Liveness.h"
+#include "analysis/symbolic/Canonical.h"
 #include "analysis/symbolic/StrideInterval.h"
 #include "sched/ListScheduler.h"
 #include "sched/ModuloScheduler.h"
+#include "sim/SimCompile.h"
 #include "transform/MemoryOpt.h"
 #include "transform/Unroller.h"
 
 #include <algorithm>
-#include <cmath>
+#include <cassert>
 #include <stdexcept>
 
 using namespace metaopt;
 
 namespace {
+
+//===----------------------------------------------------------------------===//
+// Cost-model terms
+//===----------------------------------------------------------------------===//
 
 /// Code-layout tax of non-power-of-two unroll factors: bundle padding,
 /// modulo-variable-expansion copies, and remainder-loop structure all tile
@@ -77,13 +93,11 @@ double icachePenaltyPerIteration(int CodeBytes, const MachineModel &Machine,
 }
 
 /// Expected visible d-cache stall cycles per body execution. The second
-/// half of a merged wide load shares its partner's cache access.
-double dcacheStallPerIteration(const Loop &L, const SimContext &Ctx) {
-  unsigned Loads = 0;
-  for (const Instruction &Instr : L.body())
-    if (Instr.isLoad() && !Instr.Paired)
-      ++Loads;
-  return Loads * Ctx.DcacheMissRate * Ctx.DcacheMissCycles *
+/// half of a merged wide load shares its partner's cache access, so only
+/// unpaired loads count.
+double dcacheStallPerIteration(unsigned UnpairedLoads,
+                               const SimContext &Ctx) {
+  return UnpairedLoads * Ctx.DcacheMissRate * Ctx.DcacheMissCycles *
          Ctx.DcacheVisibleFraction;
 }
 
@@ -91,141 +105,263 @@ double dcacheStallPerIteration(const Loop &L, const SimContext &Ctx) {
 /// exits: the rare taken exit flushes the pipe, and every replicated
 /// side-exit branch also occupies branch-predictor capacity that the rest
 /// of the program wants (a fixed per-branch tax).
-double exitPenaltyPerIteration(const Loop &L, const MachineModel &Machine) {
-  double Probability = 0.0;
-  unsigned Exits = 0;
-  for (const Instruction &Instr : L.body()) {
-    if (Instr.Op == Opcode::ExitIf) {
-      Probability += Instr.TakenProb;
-      ++Exits;
-    }
-  }
+double exitPenaltyPerIteration(double Probability, unsigned Exits,
+                               const MachineModel &Machine) {
   return Probability * Machine.config().MispredictPenalty + 0.15 * Exits;
 }
 
-/// Spill pairs needed once the scheduled body's live values exceed the
-/// register budget (machine file capped by the loop's program context).
-unsigned spillPairs(const Loop &L, const Schedule &Sched,
-                    const MachineModel &Machine, const SimContext &Ctx) {
-  LivenessInfo Live = analyzeLiveness(L, Sched.Order);
-  unsigned IntBudget = static_cast<unsigned>(
-      std::min(Machine.config().IntRegs, Ctx.IntRegBudget));
-  unsigned FpBudget = static_cast<unsigned>(
-      std::min(Machine.config().FloatRegs, Ctx.FpRegBudget));
-  unsigned Spills = 0;
-  if (Live.MaxLiveInt > IntBudget)
-    Spills += Live.MaxLiveInt - IntBudget;
-  if (Live.MaxLiveFloat > FpBudget)
-    Spills += Live.MaxLiveFloat - FpBudget;
-  return Spills;
+unsigned unpairedLoads(const Loop &L) {
+  unsigned Loads = 0;
+  for (const Instruction &Instr : L.body())
+    if (Instr.isLoad() && !Instr.Paired)
+      ++Loads;
+  return Loads;
 }
 
-/// Full cost of executing \p Iterations repetitions of \p L's body with the
-/// list-scheduling pipeline (no SWP). Returns per-iteration cycles too.
-struct BodyCost {
-  double PerIteration = 0.0;
-  unsigned Spills = 0;
-  uint32_t Length = 0;
-  int CodeBytes = 0;
-};
+//===----------------------------------------------------------------------===//
+// Compile: schedule + liveness + static body counts, cached across
+// structurally identical bodies.
+//===----------------------------------------------------------------------===//
 
-BodyCost listScheduledBodyCost(const Loop &L, const MachineModel &Machine,
-                               const SimContext &Ctx) {
+SimBodyStats computeBodyStatsUncached(const Loop &L,
+                                      const MachineModel &Machine) {
+  SimBodyStats Stats;
+  Stats.BodyOps = L.body().size();
+  Stats.UnpairedLoads = unpairedLoads(L);
+  for (const Instruction &Instr : L.body()) {
+    if (Instr.Op == Opcode::ExitIf) {
+      Stats.ExitProbSum += Instr.TakenProb;
+      ++Stats.ExitCount;
+    }
+  }
   DependenceGraph DG(L);
   Schedule Sched = listSchedule(L, DG, Machine);
-  BodyCost Cost;
-  Cost.Length = Sched.Length;
-  Cost.Spills = spillPairs(L, Sched, Machine, Ctx);
-  Cost.CodeBytes = Machine.codeBytes(
-      static_cast<int>(L.body().size() + 2 * Cost.Spills));
-  Cost.PerIteration =
-      listScheduledIterationCycles(L, DG, Sched, Machine) +
-      Cost.Spills * Machine.config().SpillCycles +
-      icachePenaltyPerIteration(Cost.CodeBytes, Machine, Ctx) +
-      dcacheStallPerIteration(L, Ctx) +
-      exitPenaltyPerIteration(L, Machine);
-  return Cost;
+  Stats.Length = Sched.Length;
+  Stats.Interval = listScheduledIterationCycles(L, DG, Sched, Machine);
+  LivenessInfo Live = analyzeLiveness(L, Sched.Order);
+  Stats.MaxLiveInt = Live.MaxLiveInt;
+  Stats.MaxLiveFloat = Live.MaxLiveFloat;
+  return Stats;
 }
 
-} // namespace
+SimBodyStats computeBodyStats(const Loop &L, const MachineModel &Machine,
+                              SimBodyStatsCache *Cache) {
+  if (!Cache)
+    return computeBodyStatsUncached(L, Machine);
+  FingerprintHasher H;
+  H.str("metaopt-simbody-stats-key-v1");
+  hashCanonicalSimStructure(H, L);
+  Fingerprint Key = H.digest();
+  if (std::optional<SimBodyStats> Found = Cache->lookup(Key))
+    return *Found;
+  SimBodyStats Stats = computeBodyStatsUncached(L, Machine);
+  Cache->insert(Key, Stats);
+  return Stats;
+}
 
-SimResult metaopt::simulateLoop(const Loop &L, unsigned Factor,
-                                const MachineModel &Machine,
-                                const SimContext &Ctx, bool EnableSwp) {
-  // Real diagnostics, not asserts: callers feed policy outputs and corpus
-  // data straight into this function, and the default build is Release
-  // (NDEBUG), where an assert would compile out and let a bad factor
-  // corrupt the unroller or a negative trip count poison every cycle
-  // count downstream.
-  if (Factor < 1 || Factor > MaxUnrollFactor)
-    throw std::invalid_argument(
-        "simulateLoop: unroll factor " + std::to_string(Factor) +
-        " for loop '" + L.name() + "' is outside [1, " +
-        std::to_string(MaxUnrollFactor) + "]");
-  int64_t Trip = L.runtimeTripCount();
-  if (Trip < 0)
-    throw std::domain_error("simulateLoop: loop '" + L.name() +
-                            "' has no concrete runtime trip count");
+/// \p L after the memory cleanups unrolling enables (Section 3 of the
+/// paper): store-to-load forwarding, redundant load elimination, wide-load
+/// pairing across the copies. The symbolic analysis lets the pass act on
+/// proven guard facts and same-iteration disjointness instead of its
+/// conservative bail-outs (analysis/symbolic).
+Loop memoryOptimized(Loop L) {
+  SymbolicAnalysis Symbolic(L);
+  optimizeMemory(L, &Symbolic);
+  return L;
+}
 
-  UnrolledTripInfo TripInfo = unrolledTripInfo(Trip, Factor);
-  Loop Unrolled = unrollLoop(L, Factor);
-  // The memory cleanups unrolling enables (Section 3 of the paper):
-  // store-to-load forwarding, redundant load elimination, wide-load
-  // pairing across the copies. The symbolic analysis lets the pass act on
-  // proven guard facts and same-iteration disjointness instead of its
-  // conservative bail-outs (analysis/symbolic).
-  {
-    SymbolicAnalysis Symbolic(Unrolled);
-    optimizeMemory(Unrolled, &Symbolic);
-  }
-
-  SimResult Result;
-  double MainCycles = 0.0;
-
-  bool Pipelined = false;
+/// The structure-dependent half of one factor: the software pipeliner
+/// when enabled (it reads \p Ctx's register budgets), otherwise the list
+/// schedule of the unrolled, memory-optimized body.
+CompiledFactor compileFactor(const Loop &L, unsigned Factor,
+                             const MachineModel &Machine,
+                             const SimContext &Ctx, bool EnableSwp,
+                             SimBodyStatsCache *Cache) {
+  Loop Unrolled = memoryOptimized(unrollLoop(L, Factor));
+  CompiledFactor CF;
   if (EnableSwp) {
     DependenceGraph DG(Unrolled);
     RegBudget Budget{Ctx.IntRegBudget, Ctx.FpRegBudget};
     SwpResult Swp = moduloSchedule(Unrolled, DG, Machine, Budget);
     if (Swp.Pipelined) {
-      Pipelined = true;
-      Result.UsedSwp = true;
-      Result.II = Swp.II;
-      Result.SpillPairs = Swp.SpillsPerIteration;
-      Result.CodeBytes = Machine.codeBytes(static_cast<int>(
-          Unrolled.body().size() + 2 * Swp.SpillsPerIteration));
-      double PerIteration =
-          Swp.II + Swp.SpillsPerIteration * Machine.config().SpillCycles +
-          icachePenaltyPerIteration(Result.CodeBytes, Machine, Ctx) +
-          dcacheStallPerIteration(Unrolled, Ctx) + alignmentTax(Factor);
-      MainCycles = PerIteration * TripInfo.MainIterations +
-                   static_cast<double>(Swp.StageCount - 1) * Swp.II * 2.0;
-      Result.CyclesPerIteration = PerIteration / Factor;
+      CF.Pipelined = true;
+      CF.II = Swp.II;
+      CF.StageCount = Swp.StageCount;
+      CF.SwpSpills = Swp.SpillsPerIteration;
+      CF.Main.BodyOps = Unrolled.body().size();
+      CF.Main.UnpairedLoads = unpairedLoads(Unrolled);
+      return CF;
     }
   }
+  CF.Main = computeBodyStats(Unrolled, Machine, Cache);
+  return CF;
+}
 
-  if (!Pipelined) {
-    BodyCost Cost = listScheduledBodyCost(Unrolled, Machine, Ctx);
+/// The epilogue runs the N mod U leftover iterations on the *original*
+/// body (never software pipelined - it is short by construction), so one
+/// body serves every factor that leaves a remainder.
+SimBodyStats compileEpilogue(const Loop &L, const MachineModel &Machine,
+                             SimBodyStatsCache *Cache) {
+  return computeBodyStats(memoryOptimized(L), Machine, Cache);
+}
+
+//===----------------------------------------------------------------------===//
+// Evaluate: the SimContext-dependent cost arithmetic.
+//===----------------------------------------------------------------------===//
+
+struct EvaluatedBody {
+  double PerIteration = 0.0;
+  unsigned Spills = 0;
+  int CodeBytes = 0;
+};
+
+/// Full cost of one execution of a list-scheduled body: spill pairs once
+/// the body's live values exceed the register budget (machine file capped
+/// by the loop's program context), and the per-iteration cycles.
+EvaluatedBody evaluateBodyCost(const SimBodyStats &Stats,
+                               const MachineModel &Machine,
+                               const SimContext &Ctx) {
+  unsigned IntBudget = static_cast<unsigned>(
+      std::min(Machine.config().IntRegs, Ctx.IntRegBudget));
+  unsigned FpBudget = static_cast<unsigned>(
+      std::min(Machine.config().FloatRegs, Ctx.FpRegBudget));
+  EvaluatedBody Cost;
+  if (Stats.MaxLiveInt > IntBudget)
+    Cost.Spills += Stats.MaxLiveInt - IntBudget;
+  if (Stats.MaxLiveFloat > FpBudget)
+    Cost.Spills += Stats.MaxLiveFloat - FpBudget;
+  Cost.CodeBytes = Machine.codeBytes(
+      static_cast<int>(Stats.BodyOps + 2 * Cost.Spills));
+  Cost.PerIteration =
+      Stats.Interval +
+      Cost.Spills * Machine.config().SpillCycles +
+      icachePenaltyPerIteration(Cost.CodeBytes, Machine, Ctx) +
+      dcacheStallPerIteration(Stats.UnpairedLoads, Ctx) +
+      exitPenaltyPerIteration(Stats.ExitProbSum, Stats.ExitCount, Machine);
+  return Cost;
+}
+
+// Real diagnostics, not asserts: callers feed policy outputs and corpus
+// data straight into the simulator, and the default build is Release
+// (NDEBUG), where an assert would compile out and let a bad factor
+// corrupt the unroller or a negative trip count poison every cycle count
+// downstream.
+
+void checkFactor(unsigned Factor, const std::string &LoopName) {
+  if (Factor < 1 || Factor > MaxUnrollFactor)
+    throw std::invalid_argument(
+        "simulateLoop: unroll factor " + std::to_string(Factor) +
+        " for loop '" + LoopName + "' is outside [1, " +
+        std::to_string(MaxUnrollFactor) + "]");
+}
+
+/// An empty plan for \p L; throws when the loop has no concrete runtime
+/// trip count.
+LoopSimPlan planFor(const Loop &L, bool EnableSwp) {
+  int64_t Trip = L.runtimeTripCount();
+  if (Trip < 0)
+    throw std::domain_error("simulateLoop: loop '" + L.name() +
+                            "' has no concrete runtime trip count");
+  LoopSimPlan Plan;
+  Plan.LoopName = L.name();
+  Plan.Trip = Trip;
+  Plan.HasKnownTrip = L.hasKnownTripCount();
+  Plan.Swp = EnableSwp;
+  return Plan;
+}
+
+} // namespace
+
+//===----------------------------------------------------------------------===//
+// SimBodyStatsCache
+//===----------------------------------------------------------------------===//
+
+std::optional<SimBodyStats>
+SimBodyStatsCache::lookup(const Fingerprint &Key) const {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  auto It = Map.find(Key);
+  if (It == Map.end()) {
+    Misses.fetch_add(1, std::memory_order_relaxed);
+    return std::nullopt;
+  }
+  Hits.fetch_add(1, std::memory_order_relaxed);
+  return It->second;
+}
+
+void SimBodyStatsCache::insert(const Fingerprint &Key,
+                               const SimBodyStats &Stats) {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  Map.emplace(Key, Stats);
+}
+
+size_t SimBodyStatsCache::size() const {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  return Map.size();
+}
+
+//===----------------------------------------------------------------------===//
+// compileLoopSim / evaluatePlan / simulateLoop
+//===----------------------------------------------------------------------===//
+
+LoopSimPlan metaopt::compileLoopSim(const Loop &L,
+                                    const MachineModel &Machine,
+                                    const SimContext &Ctx, bool EnableSwp,
+                                    SimBodyStatsCache *Cache) {
+  LoopSimPlan Plan = planFor(L, EnableSwp);
+  for (unsigned Factor = 1; Factor <= MaxUnrollFactor; ++Factor)
+    Plan.Factors[Factor - 1] =
+        compileFactor(L, Factor, Machine, Ctx, EnableSwp, Cache);
+  // Factor 1 never has an epilogue (Trip % 1 == 0).
+  for (unsigned Factor = 2; Factor <= MaxUnrollFactor; ++Factor) {
+    if (unrolledTripInfo(Plan.Trip, Factor).EpilogueIterations > 0) {
+      Plan.HasEpilogue = true;
+      Plan.Epilogue = compileEpilogue(L, Machine, Cache);
+      break;
+    }
+  }
+  return Plan;
+}
+
+SimResult metaopt::evaluatePlan(const LoopSimPlan &Plan, unsigned Factor,
+                                const MachineModel &Machine,
+                                const SimContext &Ctx) {
+  checkFactor(Factor, Plan.LoopName);
+  UnrolledTripInfo TripInfo = unrolledTripInfo(Plan.Trip, Factor);
+  const CompiledFactor &CF = Plan.Factors[Factor - 1];
+
+  SimResult Result;
+  double MainCycles = 0.0;
+
+  if (CF.Pipelined) {
+    Result.UsedSwp = true;
+    Result.II = CF.II;
+    Result.SpillPairs = CF.SwpSpills;
+    Result.CodeBytes = Machine.codeBytes(
+        static_cast<int>(CF.Main.BodyOps + 2 * CF.SwpSpills));
+    double PerIteration =
+        CF.II + CF.SwpSpills * Machine.config().SpillCycles +
+        icachePenaltyPerIteration(Result.CodeBytes, Machine, Ctx) +
+        dcacheStallPerIteration(CF.Main.UnpairedLoads, Ctx) +
+        alignmentTax(Factor);
+    MainCycles = PerIteration * TripInfo.MainIterations +
+                 static_cast<double>(CF.StageCount - 1) * CF.II * 2.0;
+    Result.CyclesPerIteration = PerIteration / Factor;
+  } else {
+    EvaluatedBody Cost = evaluateBodyCost(CF.Main, Machine, Ctx);
     Result.SpillPairs = Cost.Spills;
-    Result.ScheduleLength = Cost.Length;
+    Result.ScheduleLength = CF.Main.Length;
     Result.CodeBytes = Cost.CodeBytes;
     double PerIteration = Cost.PerIteration + alignmentTax(Factor);
     MainCycles = PerIteration * TripInfo.MainIterations;
     Result.CyclesPerIteration = PerIteration / Factor;
   }
 
-  // Epilogue: the N mod U leftover iterations run the original body (never
-  // software pipelined - it is short by construction). Entering it costs a
-  // mispredicted backedge plus setup, which is what makes factors that
-  // divide the trip count preferable.
+  // Epilogue: entering it costs a mispredicted backedge plus setup, which
+  // is what makes factors that divide the trip count preferable.
   double EpilogueCycles = 0.0;
   if (TripInfo.EpilogueIterations > 0) {
-    Loop EpilogueLoop = L;
-    {
-      SymbolicAnalysis Symbolic(EpilogueLoop);
-      optimizeMemory(EpilogueLoop, &Symbolic);
-    }
-    BodyCost Epilogue = listScheduledBodyCost(EpilogueLoop, Machine, Ctx);
+    assert(Plan.HasEpilogue && "plan compiled without its epilogue");
+    EvaluatedBody Epilogue = evaluateBodyCost(Plan.Epilogue, Machine, Ctx);
     EpilogueCycles = Epilogue.PerIteration * TripInfo.EpilogueIterations +
                      Machine.config().MispredictPenalty + 2.0;
   }
@@ -234,7 +370,7 @@ SimResult metaopt::simulateLoop(const Loop &L, unsigned Factor,
   // risk when unrolling a loop whose trip count is unknown at compile time
   // (the runtime must select between the unrolled and rolled versions).
   double Overhead = 10.0;
-  if (Factor > 1 && !L.hasKnownTripCount())
+  if (Factor > 1 && !Plan.HasKnownTrip)
     Overhead += 10.0 + Machine.config().MispredictPenalty;
   // Final exit mispredicts once per execution.
   Overhead += Machine.config().MispredictPenalty;
@@ -250,4 +386,18 @@ SimResult metaopt::simulateLoop(const Loop &L, unsigned Factor,
 
   Result.Cycles = MainCycles + EpilogueCycles + Overhead;
   return Result;
+}
+
+SimResult metaopt::simulateLoop(const Loop &L, unsigned Factor,
+                                const MachineModel &Machine,
+                                const SimContext &Ctx, bool EnableSwp) {
+  checkFactor(Factor, L.name());
+  LoopSimPlan Plan = planFor(L, EnableSwp);
+  Plan.Factors[Factor - 1] =
+      compileFactor(L, Factor, Machine, Ctx, EnableSwp, nullptr);
+  if (unrolledTripInfo(Plan.Trip, Factor).EpilogueIterations > 0) {
+    Plan.HasEpilogue = true;
+    Plan.Epilogue = compileEpilogue(L, Machine, nullptr);
+  }
+  return evaluatePlan(Plan, Factor, Machine, Ctx);
 }

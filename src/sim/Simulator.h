@@ -67,7 +67,10 @@ struct SimResult {
 };
 
 /// Compiles \p L at unroll factor \p Factor for \p Machine and returns the
-/// modeled execution cost over the loop's runtime trip count.
+/// modeled execution cost over the loop's runtime trip count: the
+/// compileLoopSim + evaluatePlan pair of sim/SimCompile.h, for one factor.
+/// Throws std::invalid_argument for a factor outside [1, MaxUnrollFactor]
+/// and std::domain_error when the loop has no concrete runtime trip count.
 SimResult simulateLoop(const Loop &L, unsigned Factor,
                        const MachineModel &Machine, const SimContext &Ctx,
                        bool EnableSwp);

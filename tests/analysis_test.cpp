@@ -314,6 +314,57 @@ TEST(LivenessTest, HonorsCustomOrder) {
   EXPECT_GE(Bunched.MaxLiveFloat, Paired.MaxLiveFloat);
 }
 
+/// Every LivenessInfo field on a hand-traced body. Registers (body
+/// positions 0-7, the last three the builder's loop-control tail):
+///
+///   acc   phi dest, live [0, 3] (last read by the fma)         float
+///   x     load @0,  live [0, 3]                                float
+///   k     iconst @1, never read: live [1, 1]                   int
+///   gate  fcmp @2,  guards the fma: live [2, 3]                pred
+///   next  fma @3,   recurs into acc: live [3, 8) to the end    float
+///   alpha read live-in: NumLiveIn, not per-position pressure
+///   unused, acc.init: unread live-ins, not counted
+///   iv, iv.next, iv.cond: loop control, excluded
+///
+/// Per-position totals 2 3 3 4 1 1 1 1 -> peak 4, mean 16 / 8.
+TEST(LivenessTest, HandTracedAllFields) {
+  LoopBuilder B("trace", SourceLanguage::C, 1, 16);
+  RegId Acc = B.phi(RegClass::Float, "acc");
+  RegId Alpha = B.liveIn(RegClass::Float, "alpha");
+  B.liveIn(RegClass::Int, "unused");
+  RegId X = B.load(RegClass::Float, {0, 8, 0, false, 8}); // 0
+  B.iconst(3);                                             // 1
+  RegId Gate = B.fcmp(X, Alpha);                          // 2
+  B.setPredicate(Gate);
+  RegId Next = B.fma(Alpha, X, Acc); // 3
+  B.clearPredicate();
+  B.setPhiRecur(Acc, Next);
+  B.store(Next, {1, 8, 0, false, 8}); // 4
+  Loop L = B.finalize();              // 5-7: iv_add, iv_cmp, back_br
+  ASSERT_EQ(L.body().size(), 8u);
+
+  LivenessInfo Info = analyzeLiveness(L);
+  EXPECT_EQ(Info.MaxLiveInt, 1u);
+  EXPECT_EQ(Info.MaxLiveFloat, 3u);
+  EXPECT_EQ(Info.MaxLivePred, 1u);
+  EXPECT_EQ(Info.MaxLiveTotal, 4u);
+  EXPECT_EQ(Info.AvgLiveTotal, 2.0);
+  EXPECT_EQ(Info.NumLiveIn, 1u);
+  EXPECT_EQ(Info.NumAcrossBack, 1u);
+
+  // A custom order: load, fcmp, fma, store, iconst, control tail. The
+  // fma's operands now die at position 2, where next is born, and k moves
+  // after the store: totals 2 3 4 1 2 1 1 1, mean 15 / 8.
+  LivenessInfo Moved = analyzeLiveness(L, {0, 2, 3, 4, 1, 5, 6, 7});
+  EXPECT_EQ(Moved.MaxLiveInt, 1u);
+  EXPECT_EQ(Moved.MaxLiveFloat, 3u);
+  EXPECT_EQ(Moved.MaxLivePred, 1u);
+  EXPECT_EQ(Moved.MaxLiveTotal, 4u);
+  EXPECT_EQ(Moved.AvgLiveTotal, 1.875);
+  EXPECT_EQ(Moved.NumLiveIn, 1u);
+  EXPECT_EQ(Moved.NumAcrossBack, 1u);
+}
+
 //===----------------------------------------------------------------------===//
 // Recurrence MII
 //===----------------------------------------------------------------------===//

@@ -1,21 +1,25 @@
-//===- tests/perf_test.cpp - Labeling fast-path perf & identity -----------===//
+//===- tests/perf_test.cpp - Batched labeling perf & identity -------------===//
 //
 // Part of the metaopt project, a reproduction of "Predicting Unroll Factors
 // Using Supervised Classification" (Stephenson & Amarasinghe, CGO 2005).
 //
-// Guards the labeling fast path (sim/SimCompile.h) on two fronts:
+// Guards the batched labeling path (sim/SimCompile.h) on two fronts:
 //
-//  * Byte-identity: the compiled plan evaluated at every factor must
-//    reproduce simulateLoop's SimResult bit for bit, over both a
-//    generated corpus slice and every promoted fuzz reproducer in
-//    tests/fuzz_seeds/ — the seeds are loops that broke an oracle once,
-//    so they are exactly the structures most likely to diverge.
+//  * Byte-identity: a whole-loop plan (all eight factors, the shared
+//    epilogue, the body-stats cache) evaluated at every factor must equal
+//    single-factor simulateLoop bit for bit, over both a generated corpus
+//    slice and every promoted fuzz reproducer in tests/fuzz_seeds/ — the
+//    seeds are loops that broke an oracle once, so they are exactly the
+//    structures most likely to diverge. Both run the one scheduler,
+//    liveness pass and cost model; tests/sim_golden_test.cpp pins those.
 //
 //  * Throughput: the production labeling configuration (pruning on,
-//    4 threads) must beat the serial reference sweep by >= 1.5x on the
-//    quick corpus while producing the byte-identical dataset. The
-//    committed BENCH_pipeline.json records ~2.2x, so the floor leaves
-//    headroom for CI noise; see docs/PERF.md for the design.
+//    4 threads) must beat the unpruned serial sweep by >= 1.5x on the
+//    full corpus while producing the byte-identical dataset. The serial
+//    sweep runs the same simulator, so at 1 thread production is only
+//    1.1-1.4x faster (pruning, batching and body sharing); the floor
+//    therefore needs at least 2 hardware threads. On a 4-vCPU VM the
+//    4-thread ratio measured 2.2-3.9x; see docs/PERF.md.
 //
 // The suite carries the ctest label `perf` so the CI bench-smoke job can
 // run it in isolation (`ctest -L perf`) on a Release build.
@@ -142,7 +146,8 @@ TEST(LabelingThroughput, ProductionBeatsSerialReferenceAt4Threads) {
   std::vector<Benchmark> Corpus = buildCorpus(CorpusOptions{});
 
   // Best-of-two per mode damps scheduler noise on busy CI machines; the
-  // floor (1.5x) sits well under the ~2.2x the bench records.
+  // floor (1.5x) sits under the 2.2-3.9x measured at 4 threads with 4
+  // hardware threads (docs/PERF.md).
   std::string SerialCsv, ProductionCsv;
   double Serial = timedSweep(Corpus, /*PruneEquivalent=*/false,
                              /*Threads=*/1, &SerialCsv);
@@ -162,7 +167,7 @@ TEST(LabelingThroughput, ProductionBeatsSerialReferenceAt4Threads) {
 
   // The contract half: identical datasets.
   EXPECT_EQ(SerialCsv, ProductionCsv);
-  // The throughput half: the whole point of the fast path.
+  // The throughput half: the whole point of the batched path.
   ASSERT_GT(Production, 0.0);
   EXPECT_GE(Serial / Production, 1.5)
       << "serial " << Serial << "s vs production " << Production << "s";

@@ -150,6 +150,40 @@ TEST(ListSchedulerTest, StoreAfterExitNotHoisted) {
   EXPECT_LE(Sched.CycleOf[ExitIdx], Sched.CycleOf[StoreIdx]);
 }
 
+/// Exact issue cycles on a hand-traced body (idiv latency 16, icmp 1):
+///
+///   0 q  = idiv a, lim     cycle 0
+///   1 q2 = idiv q, lim     cycle 16  (waits out q; cycles 1-15 are empty
+///                                     and skipped in one jump)
+///   2 c  = icmp q2, lim    cycle 32  (another empty stretch)
+///   3 exit_if c            cycle 33
+///   4 store q2             cycle 34  (enforced delay-0 control edge from
+///                                     the exit: it becomes ready during
+///                                     cycle 33, so it issues one later)
+///   5 iv_add               cycle 34  (same delay-0 edge from the exit)
+///   6 iv_cmp               cycle 35
+///   7 back_br              cycle 36
+TEST(ListSchedulerTest, HandTracedCycles) {
+  MachineModel M(itanium2Config());
+  LoopBuilder B("trace", SourceLanguage::C, 1, 64);
+  RegId A = B.liveIn(RegClass::Int, "a");
+  RegId Lim = B.liveIn(RegClass::Int, "lim");
+  RegId Q2 = B.idiv(B.idiv(A, Lim), Lim);
+  B.exitIf(B.icmp(Q2, Lim), 0.01);
+  B.store(Q2, {0, 4, 0, false, 4});
+  Loop L = B.finalize();
+  ASSERT_EQ(L.body().size(), 8u);
+  ASSERT_EQ(L.body()[3].Op, Opcode::ExitIf);
+
+  DependenceGraph DG(L);
+  Schedule Sched = listSchedule(L, DG, M);
+  EXPECT_EQ(Sched.CycleOf,
+            (std::vector<uint32_t>{0, 16, 32, 33, 34, 34, 35, 36}));
+  EXPECT_EQ(Sched.Order,
+            (std::vector<uint32_t>{0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(Sched.Length, 37u);
+}
+
 /// Property sweep: schedules of every generator family at several factors
 /// are valid.
 class ScheduleAllKinds : public ::testing::TestWithParam<int> {};
