@@ -22,10 +22,12 @@
 #include "serve/ModelBundle.h"
 #include "sim/Simulator.h"
 #include "support/Rng.h"
+#include "support/StringUtils.h"
 #include "transform/MemoryOpt.h"
 #include "transform/Unroller.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <memory>
 
@@ -88,6 +90,95 @@ bool hasCall(const Loop &L) {
 // round-trip
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// Spellings of the same loop that the grammar accepts but printLoop never
+/// emits, so that the parser's tolerant paths meet the round trip.
+enum Respelling : unsigned {
+  ExtraSpaces = 1,      ///< Around ',' '=' '[' ']' in the body.
+  Comments = 2,         ///< Trailing comments, blank and comment lines.
+  HeaderReordered = 4,  ///< Header attributes in reverse order.
+  MemRefReordered = 8,  ///< Memory-reference attributes in reverse order.
+  AllRespellings = 15,
+};
+
+/// Reverses the \p Sep-separated pieces of \p Text, keeping the
+/// separator spelling \p Joiner.
+std::string reversePieces(std::string_view Text, char Sep,
+                          std::string_view Joiner) {
+  std::vector<std::string> Pieces = Sep == ' ' ? splitWhitespace(Text)
+                                               : split(Text, Sep);
+  std::reverse(Pieces.begin(), Pieces.end());
+  for (std::string &Piece : Pieces)
+    Piece = std::string(trim(Piece));
+  return join(Pieces, Joiner);
+}
+
+/// Rewrites the canonical text \p Printed with the respellings in \p Mask.
+std::string respell(const std::string &Printed, unsigned Mask) {
+  std::string Out = Mask & Comments ? "# respelled\n\n" : "";
+  for (const std::string &Line : split(Printed, '\n')) {
+    if (Line.empty())
+      continue;
+    std::string Text = Line;
+    bool IsHeader = Text.compare(0, 5, "loop ") == 0;
+    bool IsPhi = Text.compare(0, 6, "  phi ") == 0;
+    if (IsHeader && (Mask & HeaderReordered)) {
+      size_t Name = Text.rfind('"') + 1;
+      size_t Brace = Text.rfind('{');
+      std::string Attrs = reversePieces(
+          std::string_view(Text).substr(Name, Brace - Name), ' ', " ");
+      Attrs.insert(Attrs.begin(), ' ');
+      Attrs += ' ';
+      Text.replace(Name, Brace - Name, Attrs);
+    }
+    if (!IsHeader && !IsPhi && (Mask & MemRefReordered)) {
+      size_t Open = Text.find('[');
+      size_t Close = Text.find(']');
+      if (Open != std::string::npos && Close != std::string::npos)
+        Text.replace(Open + 1, Close - Open - 1,
+                     reversePieces(std::string_view(Text).substr(
+                                       Open + 1, Close - Open - 1),
+                                   ',', ", "));
+    }
+    if (!IsHeader && (Mask & ExtraSpaces)) {
+      // exit_if's "prob=" is one whitespace-delimited token.
+      bool SpaceEquals = Text.find(" exit_if ") == std::string::npos &&
+                         Text.compare(0, 10, "  exit_if ") != 0;
+      std::string Spaced;
+      for (char C : Text) {
+        bool Pad =
+            C == ',' || C == '[' || C == ']' || (C == '=' && SpaceEquals);
+        if (Pad)
+          Spaced += ' ';
+        Spaced += C;
+        if (Pad)
+          Spaced += "  ";
+      }
+      Text = Spaced;
+    }
+    Out += Text;
+    if (Mask & Comments)
+      Out += "   # note [x, y] = z\n \t\n# line\n";
+    else
+      Out += '\n';
+  }
+  return Out;
+}
+
+/// True when every register name is spelled from [A-Za-z0-9_.], so the
+/// respellings cannot cut through a name.
+bool plainRegisterNames(const Loop &L) {
+  for (RegId Reg = 0; Reg < L.numRegs(); ++Reg)
+    for (char C : L.regName(Reg))
+      if (!std::isalnum(static_cast<unsigned char>(C)) && C != '_' &&
+          C != '.')
+        return false;
+  return true;
+}
+
+} // namespace
+
 void metaopt::oracleRoundTrip(const Loop &L, std::vector<OracleFailure> &Out) {
   std::string First = printLoop(L);
   ParseResult Parsed = parseLoops(First, L.sourceFile());
@@ -107,11 +198,37 @@ void metaopt::oracleRoundTrip(const Loop &L, std::vector<OracleFailure> &Out) {
     return;
   }
   std::string Second = printLoop(Parsed.Loops[0]);
-  if (First != Second)
+  if (First != Second) {
     fail(Out, "round-trip",
          "print -> parse -> print changed the text (" +
              std::to_string(First.size()) + " vs " +
              std::to_string(Second.size()) + " bytes)");
+    return;
+  }
+
+  // Spelling invariance: every respelling parses back to the same loop.
+  if (!plainRegisterNames(L) || L.name().find('#') != std::string::npos)
+    return;
+  for (unsigned Mask :
+       {unsigned(ExtraSpaces), unsigned(Comments), unsigned(HeaderReordered),
+        unsigned(MemRefReordered), unsigned(AllRespellings)}) {
+    std::string Variant = respell(First, Mask);
+    ParseResult Respelled = parseLoops(Variant, L.sourceFile());
+    std::string Reprinted = Respelled.Loops.size() == 1
+                                ? printLoop(Respelled.Loops[0])
+                                : std::string();
+    if (Reprinted != First) {
+      fail(Out, "round-trip",
+           "respelling " + std::to_string(Mask) +
+               " did not print back to the canonical text (" +
+               (Respelled.succeeded()
+                    ? std::to_string(Respelled.Loops.size()) + " loops"
+                    : "line " + std::to_string(Respelled.ErrorLine) + ": " +
+                          Respelled.Error) +
+               "):\n" + Variant);
+      return;
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//

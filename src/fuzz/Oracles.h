@@ -13,7 +13,10 @@
 /// standalone schedule validators for scheduler legality, byte comparison
 /// for serialization round-trips:
 ///
-///  - round-trip: printLoop -> parseLoops -> printLoop is byte-identical;
+///  - round-trip: printLoop -> parseLoops -> printLoop is byte-identical,
+///    and so is every respelling the grammar allows (extra spaces around
+///    ',' '=' '[' ']', comments and blank lines, header and memory
+///    attributes in another order) parsed and printed back;
 ///  - import-round-trip: exportLoop -> importLoops -> printLoop matches
 ///    the original printLoop byte for byte, hammering the src/import
 ///    front door (parser, lowering, diagnostics) with generated loops;

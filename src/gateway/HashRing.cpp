@@ -57,8 +57,12 @@ Fingerprint metaopt::loopRoutingKey(const std::string &LoopText) {
   H.str("metaopt-routing-key-v1");
   ParseResult Parsed = parseLoops(LoopText);
   if (Parsed.succeeded() && !Parsed.Loops.empty()) {
-    for (const Loop &L : Parsed.Loops)
-      H.str(printLoop(L));
+    std::string Printed;
+    for (const Loop &L : Parsed.Loops) {
+      Printed.clear();
+      appendLoop(Printed, L);
+      H.str(Printed);
+    }
   } else {
     H.str(LoopText);
   }

@@ -19,7 +19,7 @@ const char *metaopt::sourceLanguageName(SourceLanguage Lang) {
   return "?";
 }
 
-bool metaopt::parseSourceLanguage(const std::string &Name,
+bool metaopt::parseSourceLanguage(std::string_view Name,
                                   SourceLanguage &Out) {
   if (Name == "C") {
     Out = SourceLanguage::C;

@@ -19,6 +19,7 @@
 #include "ir/Instruction.h"
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace metaopt {
@@ -34,7 +35,7 @@ enum class SourceLanguage { C, Fortran, Fortran90 };
 const char *sourceLanguageName(SourceLanguage Lang);
 
 /// Parses a language name; returns false if unknown.
-bool parseSourceLanguage(const std::string &Name, SourceLanguage &Out);
+bool parseSourceLanguage(std::string_view Name, SourceLanguage &Out);
 
 /// An innermost loop: straight-line predicated body + loop-carried phis.
 ///

@@ -78,9 +78,12 @@ const OpcodeInfo &metaopt::opcodeInfo(Opcode Op) {
 
 const char *metaopt::opcodeName(Opcode Op) { return opcodeInfo(Op).Name; }
 
-bool metaopt::parseOpcode(const std::string &Name, Opcode &Out) {
+bool metaopt::parseOpcode(std::string_view Name, Opcode &Out) {
+  if (Name.empty())
+    return false;
   for (unsigned I = 0; I < NumOpcodes; ++I) {
-    if (Name == Infos[I].Name) {
+    // The first byte rules out all but one or two mnemonics.
+    if (Infos[I].Name[0] == Name[0] && Name == Infos[I].Name) {
       Out = static_cast<Opcode>(I);
       return true;
     }

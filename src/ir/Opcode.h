@@ -18,7 +18,7 @@
 #ifndef METAOPT_IR_OPCODE_H
 #define METAOPT_IR_OPCODE_H
 
-#include <string>
+#include <string_view>
 
 namespace metaopt {
 
@@ -98,7 +98,7 @@ const OpcodeInfo &opcodeInfo(Opcode Op);
 const char *opcodeName(Opcode Op);
 
 /// Parses a mnemonic; returns false if unknown.
-bool parseOpcode(const std::string &Name, Opcode &Out);
+bool parseOpcode(std::string_view Name, Opcode &Out);
 
 /// Returns the register class required for operand \p Index of \p Op.
 /// Handles the heterogeneous cases (Select's predicate operand, FCvt, ...).

@@ -18,6 +18,7 @@
 #include "ir/Loop.h"
 
 #include <string>
+#include <vector>
 
 namespace metaopt {
 
@@ -33,9 +34,17 @@ namespace metaopt {
 /// \endcode
 std::string printLoop(const Loop &L);
 
+/// Appends printLoop(L) to \p Out, so that a caller printing many loops
+/// can reuse one buffer.
+void appendLoop(std::string &Out, const Loop &L);
+
 /// Prints a single instruction (as it would appear inside a loop body);
 /// useful in diagnostics and tests.
 std::string printInstruction(const Loop &L, const Instruction &Instr);
+
+/// printInstruction of every body instruction, in body order, naming the
+/// registers once for the whole loop.
+std::vector<std::string> printInstructions(const Loop &L);
 
 } // namespace metaopt
 

@@ -44,12 +44,17 @@ private:
     D.Id = Id;
     D.Sev = Severity::Error;
     D.LoopName = L.name();
+    const Instruction &Instr = L.body()[BodyIndex];
     D.BodyIndex = static_cast<int>(BodyIndex);
-    D.SrcLine = L.body()[BodyIndex].SrcLine;
+    D.SrcLine = Instr.SrcLine;
     D.Message = Message;
-    if (instrPrintable(L.body()[BodyIndex]))
+    // The printer also reads a store's value and a memory access's index
+    // operand by position.
+    size_t Positional = (Instr.isStore() ? 1 : 0) +
+                        (Instr.isMemory() && Instr.Mem.Indirect ? 1 : 0);
+    if (instrPrintable(Instr) && Instr.Operands.size() >= Positional)
       D.Context = "instruction " + std::to_string(BodyIndex) + ": " +
-                  printInstruction(L, L.body()[BodyIndex]);
+                  printInstruction(L, Instr);
     else
       D.Context = "instruction " + std::to_string(BodyIndex);
     Report.add(std::move(D));
@@ -309,7 +314,7 @@ private:
         return;
       }
       checkOperandClass(I, Instr.Operands[0], RegClass::Pred);
-      if (Instr.TakenProb < 0.0 || Instr.TakenProb > 1.0)
+      if (!(Instr.TakenProb >= 0.0 && Instr.TakenProb <= 1.0)) // NaN too.
         errorAt(diag::ExitProb, I, "exit probability out of [0,1]");
       return;
     }

@@ -24,14 +24,15 @@ const char *unitName(UnitKind Kind) {
   return "?";
 }
 
-std::string describe(const Loop &L, uint32_t Node,
-                     const MachineModel &Machine) {
+/// \p Texts is printInstructions(L).
+std::string describe(const Loop &L, const std::vector<std::string> &Texts,
+                     uint32_t Node, const MachineModel &Machine) {
   const Instruction &Instr = L.body()[Node];
   std::string Text = "[";
   Text += occupiesIssueSlot(Instr) ? unitName(Machine.unitFor(Instr.Op))
                                    : "-";
   Text += "] ";
-  Text += printInstruction(L, Instr);
+  Text += Texts[Node];
   return Text;
 }
 
@@ -43,6 +44,7 @@ std::string metaopt::printSchedule(const Loop &L, const Schedule &Sched,
   for (uint32_t Node = 0; Node < Sched.CycleOf.size(); ++Node)
     ByCycle[Sched.CycleOf[Node]].push_back(Node);
 
+  std::vector<std::string> Texts = printInstructions(L);
   std::string Out = "schedule, " + std::to_string(Sched.Length) +
                     " cycles:\n";
   for (uint32_t Cycle = 0; Cycle < Sched.Length; ++Cycle) {
@@ -55,7 +57,7 @@ std::string metaopt::printSchedule(const Loop &L, const Schedule &Sched,
     bool First = true;
     for (uint32_t Node : It->second) {
       Out += First ? "  " : "\n      ";
-      Out += describe(L, Node, Machine);
+      Out += describe(L, Texts, Node, Machine);
       First = false;
     }
     Out += "\n";
@@ -71,6 +73,7 @@ metaopt::printModuloSchedule(const Loop &L,
     return "no modulo schedule\n";
   std::string Out = "modulo kernel, II=" + std::to_string(Sched.II) +
                     ", " + std::to_string(Sched.StageCount) + " stage(s):\n";
+  std::vector<std::string> Texts = printInstructions(L);
   std::map<int, std::vector<uint32_t>> BySlot;
   for (uint32_t Node = 0; Node < Sched.CycleOf.size(); ++Node)
     BySlot[Sched.CycleOf[Node] % Sched.II].push_back(Node);
@@ -86,7 +89,7 @@ metaopt::printModuloSchedule(const Loop &L,
       Out += First ? "  " : "\n      ";
       Out += "(stage " +
              std::to_string(Sched.CycleOf[Node] / Sched.II) + ") " +
-             describe(L, Node, Machine);
+             describe(L, Texts, Node, Machine);
       First = false;
     }
     Out += "\n";

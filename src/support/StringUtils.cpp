@@ -4,17 +4,18 @@
 
 #include <cctype>
 #include <cstdio>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 
 using namespace metaopt;
 
 std::string_view metaopt::trim(std::string_view Str) {
   size_t Begin = 0;
   size_t End = Str.size();
-  while (Begin < End && std::isspace(static_cast<unsigned char>(Str[Begin])))
+  while (Begin < End && isSpace(Str[Begin]))
     ++Begin;
-  while (End > Begin &&
-         std::isspace(static_cast<unsigned char>(Str[End - 1])))
+  while (End > Begin && isSpace(Str[End - 1]))
     --End;
   return Str.substr(Begin, End - Begin);
 }
@@ -35,12 +36,10 @@ std::vector<std::string> metaopt::splitWhitespace(std::string_view Str) {
   std::vector<std::string> Pieces;
   size_t I = 0;
   while (I < Str.size()) {
-    while (I < Str.size() &&
-           std::isspace(static_cast<unsigned char>(Str[I])))
+    while (I < Str.size() && isSpace(Str[I]))
       ++I;
     size_t Start = I;
-    while (I < Str.size() &&
-           !std::isspace(static_cast<unsigned char>(Str[I])))
+    while (I < Str.size() && !isSpace(Str[I]))
       ++I;
     if (I > Start)
       Pieces.emplace_back(Str.substr(Start, I - Start));
@@ -48,26 +47,60 @@ std::vector<std::string> metaopt::splitWhitespace(std::string_view Str) {
   return Pieces;
 }
 
-std::optional<int64_t> metaopt::parseInt(std::string_view Str) {
+IntScan metaopt::scanInt(std::string_view Str, int64_t &Out) {
   Str = trim(Str);
-  if (Str.empty())
+  size_t I = 0;
+  bool Negative = false;
+  if (I < Str.size() && (Str[I] == '+' || Str[I] == '-'))
+    Negative = Str[I++] == '-';
+  if (I == Str.size())
+    return IntScan::Malformed;
+  uint64_t Magnitude = 0;
+  bool Overflow = false;
+  for (; I < Str.size(); ++I) {
+    unsigned Digit = static_cast<unsigned char>(Str[I]) - '0';
+    if (Digit > 9)
+      return IntScan::Malformed;
+    if (Magnitude > (UINT64_MAX - Digit) / 10)
+      Overflow = true;
+    else
+      Magnitude = Magnitude * 10 + Digit;
+  }
+  uint64_t Limit = Negative ? uint64_t(1) << 63 : (uint64_t(1) << 63) - 1;
+  if (Overflow || Magnitude > Limit)
+    return IntScan::OutOfRange;
+  Out = Negative ? static_cast<int64_t>(0 - Magnitude)
+                 : static_cast<int64_t>(Magnitude);
+  return IntScan::Ok;
+}
+
+std::optional<int64_t> metaopt::parseInt(std::string_view Str) {
+  int64_t Value = 0;
+  if (scanInt(Str, Value) != IntScan::Ok)
     return std::nullopt;
-  std::string Buffer(Str);
-  char *End = nullptr;
-  long long Value = std::strtoll(Buffer.c_str(), &End, 10);
-  if (End != Buffer.c_str() + Buffer.size())
-    return std::nullopt;
-  return static_cast<int64_t>(Value);
+  return Value;
 }
 
 std::optional<double> metaopt::parseDouble(std::string_view Str) {
   Str = trim(Str);
   if (Str.empty())
     return std::nullopt;
-  std::string Buffer(Str);
+  // strtod needs a terminator; short numbers (all the IR ever holds) are
+  // copied to the stack instead of the heap.
+  char Small[64];
+  std::string Large;
+  const char *Begin;
+  if (Str.size() < sizeof(Small)) {
+    std::memcpy(Small, Str.data(), Str.size());
+    Small[Str.size()] = '\0';
+    Begin = Small;
+  } else {
+    Large.assign(Str);
+    Begin = Large.c_str();
+  }
   char *End = nullptr;
-  double Value = std::strtod(Buffer.c_str(), &End);
-  if (End != Buffer.c_str() + Buffer.size())
+  double Value = std::strtod(Begin, &End);
+  if (End != Begin + Str.size())
     return std::nullopt;
   return Value;
 }

@@ -14,6 +14,7 @@
 #ifndef METAOPT_SUPPORT_STRINGUTILS_H
 #define METAOPT_SUPPORT_STRINGUTILS_H
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -21,7 +22,11 @@
 
 namespace metaopt {
 
-/// Removes leading and trailing whitespace.
+/// std::isspace in the C locale (space, \t, \n, \v, \f, \r), without
+/// the locale lookup.
+inline bool isSpace(char C) { return C == ' ' || (C >= '\t' && C <= '\r'); }
+
+/// Removes leading and trailing whitespace (isSpace).
 std::string_view trim(std::string_view Str);
 
 /// Splits \p Str on \p Sep; does not merge adjacent separators. An empty
@@ -31,7 +36,18 @@ std::vector<std::string> split(std::string_view Str, char Sep);
 /// Splits on arbitrary whitespace runs, discarding empty pieces.
 std::vector<std::string> splitWhitespace(std::string_view Str);
 
-/// Parses a signed integer; returns std::nullopt on any trailing garbage.
+/// Outcome of scanInt.
+enum class IntScan { Ok, Malformed, OutOfRange };
+
+/// Parses a signed decimal integer in strtoll's syntax (surrounding
+/// whitespace, an optional '+' or '-', then digits) without allocating.
+/// Text that is not such an integer is Malformed, even when its digits
+/// would also overflow; an integer outside int64_t is OutOfRange. \p Out
+/// is written only on Ok.
+IntScan scanInt(std::string_view Str, int64_t &Out);
+
+/// Parses a signed integer; returns std::nullopt on any trailing garbage
+/// and on a value outside int64_t (scanInt).
 std::optional<int64_t> parseInt(std::string_view Str);
 
 /// Parses a double; returns std::nullopt on any trailing garbage.

@@ -12,6 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 using namespace metaopt;
 
 namespace {
@@ -259,6 +262,79 @@ TEST(ParserTest, ExitProbabilityValidated) {
   EXPECT_FALSE(parseLoops(Text).succeeded());
 }
 
+TEST(ParserTest, NanExitProbabilityRejectedOnItsLine) {
+  for (const char *Prob : {"nan", "NAN", "-nan", "nan(0x7)"}) {
+    std::string Text = "loop \"x\" lang=C nest=1 trip=4 rtrip=4 {\n"
+                       "  %i_a = iadd %i_b, %i_c\n"
+                       "  exit_if %p_c prob=" +
+                       std::string(Prob) + "\n}\n";
+    ParseResult Result = parseLoops(Text);
+    EXPECT_FALSE(Result.succeeded()) << Prob;
+    EXPECT_EQ(Result.ErrorLine, 3u) << Prob;
+    EXPECT_EQ(Result.Error, "exit probability must be in [0,1]") << Prob;
+  }
+}
+
+/// Parses \p Line as line 2 of a loop whose header carries \p Header.
+ParseResult parseWith(const std::string &Header, const std::string &Line) {
+  return parseLoops("loop \"x\" " + Header + " {\n  " + Line + "\n}\n");
+}
+
+/// Each integer field rejects a value outside its type, naming the field,
+/// where strtoll used to saturate and the narrowing casts to wrap; the
+/// extreme values of each type still parse.
+TEST(ParserTest, IntegerFieldsRejectValuesOutsideTheirType) {
+  struct Case {
+    std::string Header, Line, Error;
+    size_t ErrorLine;
+  };
+  const std::string Load = "%f_v = load ";
+  const Case Cases[] = {
+      {"trip=99999999999999999999", "",
+       "trip count '99999999999999999999' out of range", 1},
+      {"trip=-9223372036854775809", "",
+       "trip count '-9223372036854775809' out of range", 1},
+      {"rtrip=9223372036854775808", "",
+       "runtime trip count '9223372036854775808' out of range", 1},
+      {"nest=4294967297", "", "nest level '4294967297' out of range", 1},
+      {"nest=-2147483649", "", "nest level '-2147483649' out of range", 1},
+      {"", Load + "@4294967298[stride=8]",
+       "memory base symbol '4294967298' out of range", 2},
+      {"", Load + "@0[size=4294967304]",
+       "memory attribute 'size=4294967304' out of range", 2},
+      {"", Load + "@0[stride=9223372036854775808]",
+       "memory attribute 'stride=9223372036854775808' out of range", 2},
+      {"", Load + "@0[offset=-99999999999999999999]",
+       "memory attribute 'offset=-99999999999999999999' out of range", 2},
+      {"", "%i_k = iconst 9223372036854775808",
+       "constant '9223372036854775808' out of range", 2},
+  };
+  for (const Case &C : Cases) {
+    ParseResult Result = parseWith(C.Header, C.Line);
+    EXPECT_EQ(Result.Error, C.Error) << C.Header << C.Line;
+    EXPECT_EQ(Result.ErrorLine, C.ErrorLine) << C.Header << C.Line;
+  }
+
+  ParseResult Extremes = parseWith(
+      "nest=-2147483648 trip=9223372036854775807 "
+      "rtrip=-9223372036854775808",
+      Load + "@2147483647[stride=-9223372036854775808, "
+             "offset=9223372036854775807, size=-2147483648]");
+  ASSERT_TRUE(Extremes.succeeded()) << Extremes.Error;
+  const Loop &L = Extremes.Loops[0];
+  EXPECT_EQ(L.nestLevel(), INT32_MIN);
+  EXPECT_EQ(L.tripCount(), INT64_MAX);
+  const MemRef &Mem = L.body()[0].Mem;
+  EXPECT_EQ(Mem.BaseSym, INT32_MAX);
+  EXPECT_EQ(Mem.Stride, INT64_MIN);
+  EXPECT_EQ(Mem.Offset, INT64_MAX);
+  EXPECT_EQ(Mem.SizeBytes, INT32_MIN);
+
+  // Malformed text keeps its own message, even when its digits overflow.
+  EXPECT_EQ(parseWith("trip=99999999999999999999x", "").Error,
+            "malformed trip count '99999999999999999999x'");
+}
+
 //===----------------------------------------------------------------------===//
 // Verifier
 //===----------------------------------------------------------------------===//
@@ -340,6 +416,20 @@ TEST(VerifierTest, CatchesOutOfRangeRegister) {
   Loop L = makeDaxpy();
   L.body()[0].Dest = 10000;
   EXPECT_FALSE(verifyLoop(L).empty());
+}
+
+TEST(VerifierTest, CatchesNanExitProbability) {
+  LoopBuilder B("exits", SourceLanguage::C, 1, 64);
+  RegId A = B.liveIn(RegClass::Int, "a");
+  B.exitIf(B.icmp(A, A), 0.25);
+  Loop L = B.finalize();
+  ASSERT_TRUE(isWellFormed(L));
+  for (Instruction &Instr : L.body())
+    if (Instr.Op == Opcode::ExitIf)
+      Instr.TakenProb = std::numeric_limits<double>::quiet_NaN();
+  DiagnosticReport Report = verifyLoopDiagnostics(L);
+  ASSERT_EQ(Report.errorCount(), 1u);
+  EXPECT_STREQ(Report.diagnostics()[0].Id.c_str(), diag::ExitProb);
 }
 
 TEST(VerifierTest, CatchesStoreOperandCount) {

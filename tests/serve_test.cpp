@@ -533,6 +533,27 @@ TEST(PredictionServiceTest, RejectsMalformedInputWithDiagnostics) {
   Empty.LoopText = "# only a comment\n";
   Response = Service.predict(Empty);
   EXPECT_EQ(Response.Status, PredictStatus::Malformed);
+
+  // Values the loop format cannot hold: a NaN exit probability (once
+  // answered "ok") and a trip count past int64 (once saturated).
+  for (const char *Bad : {"  exit_if %p_c prob=nan\n",
+                          "  %i_k = iconst 99999999999999999999\n"}) {
+    PredictRequest Unrepresentable;
+    Unrepresentable.LoopText =
+        "loop \"odd\" lang=C nest=1 trip=8 rtrip=8 {\n"
+        "  %p_c = icmp %i_a, %i_b\n" +
+        std::string(Bad) +
+        "  %i_iv.next = iv_add %i_iv\n"
+        "  %p_iv.cond = iv_cmp %i_iv.next\n"
+        "  back_br %p_iv.cond\n"
+        "}\n";
+    Response = Service.predict(Unrepresentable);
+    EXPECT_EQ(Response.Status, PredictStatus::Malformed) << Bad;
+    EXPECT_NE(Response.Error.find("line 3"), std::string::npos)
+        << Response.Error;
+    EXPECT_NE(renderPredictResponse("", Response).find("\"malformed\""),
+              std::string::npos);
+  }
 }
 
 TEST(PredictionServiceTest, ExpiredDeadlineIsReported) {
