@@ -15,26 +15,26 @@ DependenceGraph::DependenceGraph(const Loop &L) {
   buildMemoryDeps(L);
   buildControlDeps(L);
 
-  // Adjacency is built in one pass after every edge exists, so each
-  // per-node list allocates exactly once at its final size instead of
-  // growing push_back by push_back during the build phases. Edge indices
-  // land in ascending order per node, exactly as incremental appends
-  // would have produced.
-  OutEdges.resize(NumNodes);
-  InEdges.resize(NumNodes);
-  std::vector<uint32_t> OutCount(NumNodes, 0), InCount(NumNodes, 0);
-  for (const DepEdge &E : Edges) {
-    ++OutCount[E.Src];
-    ++InCount[E.Dst];
-  }
-  for (size_t I = 0; I < NumNodes; ++I) {
-    OutEdges[I].reserve(OutCount[I]);
-    InEdges[I].reserve(InCount[I]);
-  }
-  for (uint32_t Index = 0; Index < Edges.size(); ++Index) {
-    OutEdges[Edges[Index].Src].push_back(Index);
-    InEdges[Edges[Index].Dst].push_back(Index);
-  }
+  // Both adjacencies are built by a counting sort after every edge
+  // exists: count per node, prefix-sum into start offsets, then place the
+  // edges in index order, so each node's indices come out ascending.
+  // Placing advances Offsets[N] to node N's end, which is node N + 1's
+  // start; one shift restores the starts.
+  auto Build = [&](Adjacency &A, uint32_t DepEdge::*End) {
+    A.Offsets.assign(NumNodes + 1, 0);
+    for (const DepEdge &E : Edges)
+      ++A.Offsets[E.*End + 1];
+    for (size_t I = 0; I < NumNodes; ++I)
+      A.Offsets[I + 1] += A.Offsets[I];
+    A.Index.resize(Edges.size());
+    for (uint32_t Index = 0; Index < Edges.size(); ++Index)
+      A.Index[A.Offsets[Edges[Index].*End]++] = Index;
+    for (size_t I = NumNodes; I-- > 1;)
+      A.Offsets[I] = A.Offsets[I - 1];
+    A.Offsets[0] = 0;
+  };
+  Build(Out, &DepEdge::Src);
+  Build(In, &DepEdge::Dst);
 }
 
 void DependenceGraph::addEdge(uint32_t Src, uint32_t Dst, DepKind Kind,

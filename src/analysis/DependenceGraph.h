@@ -22,6 +22,7 @@
 #include "ir/Loop.h"
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace metaopt {
@@ -55,13 +56,13 @@ public:
   size_t numNodes() const { return NumNodes; }
   const std::vector<DepEdge> &edges() const { return Edges; }
 
-  /// Outgoing edge indices of node \p Node.
-  const std::vector<uint32_t> &successors(uint32_t Node) const {
-    return OutEdges[Node];
+  /// Outgoing edge indices of node \p Node, ascending.
+  std::span<const uint32_t> successors(uint32_t Node) const {
+    return Out.of(Node);
   }
-  /// Incoming edge indices of node \p Node.
-  const std::vector<uint32_t> &predecessors(uint32_t Node) const {
-    return InEdges[Node];
+  /// Incoming edge indices of node \p Node, ascending.
+  std::span<const uint32_t> predecessors(uint32_t Node) const {
+    return In.of(Node);
   }
 
   const DepEdge &edge(uint32_t Index) const { return Edges[Index]; }
@@ -83,10 +84,21 @@ private:
   void buildMemoryDeps(const Loop &L);
   void buildControlDeps(const Loop &L);
 
+  /// Compressed adjacency of one direction: node N's edge indices are
+  /// Index[Offsets[N] .. Offsets[N + 1]).
+  struct Adjacency {
+    std::vector<uint32_t> Offsets;
+    std::vector<uint32_t> Index;
+
+    std::span<const uint32_t> of(uint32_t Node) const {
+      return {Index.data() + Offsets[Node], Index.data() + Offsets[Node + 1]};
+    }
+  };
+
   size_t NumNodes = 0;
   std::vector<DepEdge> Edges;
-  std::vector<std::vector<uint32_t>> OutEdges;
-  std::vector<std::vector<uint32_t>> InEdges;
+  Adjacency Out;
+  Adjacency In;
   unsigned NumMemoryDeps = 0;
   unsigned MinCarriedMemoryDistance = 0;
 };

@@ -5,7 +5,7 @@
 #include "analysis/Latency.h"
 
 #include <algorithm>
-#include <map>
+#include <vector>
 
 using namespace metaopt;
 
@@ -31,13 +31,14 @@ double metaopt::recurrenceMII(const Loop &L, const DependenceGraph &DG,
   };
 
   // Longest intra-iteration delay path from a given source to every node;
-  // memoized per source since several carried edges may share one.
-  std::map<uint32_t, std::vector<int>> PathCache;
+  // memoized per source (an empty entry is not computed yet) since several
+  // carried edges may share one.
+  std::vector<std::vector<int>> PathCache(N);
   auto LongestFrom = [&](uint32_t Source) -> const std::vector<int> & {
-    auto It = PathCache.find(Source);
-    if (It != PathCache.end())
-      return It->second;
-    std::vector<int> Dist(N, Unreachable);
+    std::vector<int> &Dist = PathCache[Source];
+    if (!Dist.empty())
+      return Dist;
+    Dist.assign(N, Unreachable);
     Dist[Source] = 0;
     // Body order is a topological order of the distance-0 subgraph.
     for (uint32_t Node = Source; Node < N; ++Node) {
@@ -51,7 +52,7 @@ double metaopt::recurrenceMII(const Loop &L, const DependenceGraph &DG,
                                   Dist[Node] + EdgeDelay(Edge));
       }
     }
-    return PathCache.emplace(Source, std::move(Dist)).first->second;
+    return Dist;
   };
 
   double MII = 1.0;

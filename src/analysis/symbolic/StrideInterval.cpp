@@ -91,7 +91,8 @@ AffineValue intDefault() { return AffineValue::constant(0); }
 // SymbolicAnalysis
 //===----------------------------------------------------------------------===//
 
-SymbolicAnalysis::SymbolicAnalysis(const Loop &L) : L(L) {
+SymbolicAnalysis::SymbolicAnalysis(const Loop &L)
+    : L(L), LiveIn(L.liveInTable()) {
   Values.assign(L.numRegs(), AffineValue::top());
   PredFacts.assign(L.numRegs(), PredFact::Unknown);
   Overflowed.assign(L.numRegs(), false);
@@ -129,7 +130,7 @@ void SymbolicAnalysis::runFixpoint() {
   // own symbol (so a simple induction shows up as "recur == self + c").
   Values.assign(L.numRegs(), AffineValue::top());
   for (RegId Reg = 0; Reg < L.numRegs(); ++Reg)
-    if (L.regClass(Reg) == RegClass::Int && L.isLiveIn(Reg))
+    if (L.regClass(Reg) == RegClass::Int && LiveIn[Reg])
       Values[Reg] = AffineValue::symbol(Reg);
   for (const PhiNode &Phi : L.phis())
     if (L.regClass(Phi.Dest) == RegClass::Int)
@@ -155,7 +156,7 @@ void SymbolicAnalysis::runFixpoint() {
         // Unresolved. The hypothesis needs a live-in init (the value the
         // phi holds when i == 0) and a recurrence of the form self + c
         // with no direct iteration term.
-        if (L.isLiveIn(Phi.Init) && Recur.isAffine() &&
+        if (LiveIn[Phi.Init] && Recur.isAffine() &&
             Recur.Base == Phi.Dest && Recur.Step == 0)
           Next = AffineValue{AffineValue::Kind::Affine, Phi.Init, 0,
                              Recur.Offset};
@@ -502,13 +503,6 @@ PredFact SymbolicAnalysis::guardFact(const Instruction &Instr) const {
   return PredFacts[Instr.Pred];
 }
 
-const AccessSummary *SymbolicAnalysis::accessAt(uint32_t BodyIndex) const {
-  for (const AccessSummary &S : Accesses)
-    if (S.BodyIndex == BodyIndex)
-      return &S;
-  return nullptr;
-}
-
 bool SymbolicAnalysis::ivRange(int64_t &Lo, int64_t &Hi) const {
   if (!TripKnown)
     return false;
@@ -561,7 +555,7 @@ std::vector<StaticClaim> SymbolicAnalysis::claims() const {
   // Range bounds for iteration-dependent integer values defined in the
   // loop (live-ins are opaque, constants are uninteresting).
   for (RegId Reg = 0; Reg < L.numRegs(); ++Reg) {
-    if (L.regClass(Reg) != RegClass::Int || L.isLiveIn(Reg))
+    if (L.regClass(Reg) != RegClass::Int || LiveIn[Reg])
       continue;
     const AffineValue &V = Values[Reg];
     if (!V.isBaseFree() || V.Step == 0)

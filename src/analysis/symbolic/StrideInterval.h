@@ -167,9 +167,6 @@ public:
   /// All memory operations, in body order.
   const std::vector<AccessSummary> &accesses() const { return Accesses; }
 
-  /// Summary of the memory op at \p BodyIndex, or nullptr.
-  const AccessSummary *accessAt(uint32_t BodyIndex) const;
-
   /// Iteration-index range [Lo, Hi] the analysis reasons over. Returns
   /// false when the trip count is not a compile-time constant (the range
   /// is then [0, +inf) and bounded queries fail).
@@ -207,6 +204,7 @@ private:
   bool boundsOf(const AffineValue &V, int64_t &Lo, int64_t &Hi) const;
 
   const Loop &L;
+  std::vector<char> LiveIn;        ///< Reg -> Loop::isLiveIn.
   std::vector<AffineValue> Values; ///< Reg -> abstract value.
   std::vector<PredFact> PredFacts; ///< Reg -> predicate verdict.
   std::vector<bool> Overflowed;    ///< Reg -> overflow-prone derivation.

@@ -297,7 +297,7 @@ Dataset metaopt::collectLabels(const std::vector<Benchmark> &Corpus,
     OutStats->SimulationsPruned =
         (Loops.size() - Leaders.size()) * MaxUnrollFactor;
     OutStats->BodyStatsComputed = BodyCache.size();
-    OutStats->BodyStatsShared = BodyCache.hits();
+    OutStats->BodyStatsShared = BodyCache.shared();
   }
 
   // Warm-start later processes: flush new simulation results to the

@@ -64,11 +64,12 @@ struct LabelingStats {
   size_t SimulationsRun = 0;     ///< simulateLoop requests issued.
   size_t SimulationsPruned = 0;  ///< Requests avoided by class sharing.
   /// Body-level structural sharing inside the compiled plans
-  /// (sim/SimCompile.h): unique post-memopt bodies actually scheduled,
-  /// and schedule/liveness computations avoided because a structurally
-  /// identical body (same canonical structure, any trip count) was
-  /// already in the per-sweep cache. Both are 0 when PruneEquivalent is
-  /// off or every simulation was served from the sim cache.
+  /// (sim/SimCompile.h): unique post-memopt bodies scheduled, and body
+  /// requests beyond those (SimBodyStatsCache::shared), i.e. requests
+  /// for a structurally identical body (same canonical structure, any
+  /// trip count). Both are the same at every thread count, and both are
+  /// 0 when PruneEquivalent is off or every simulation was served from
+  /// the sim cache.
   size_t BodyStatsComputed = 0;
   size_t BodyStatsShared = 0;
   /// Fraction of the (loop, factor) simulation space pruned away.

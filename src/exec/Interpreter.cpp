@@ -336,8 +336,9 @@ ExecResult metaopt::interpretLoop(const Loop &L, const ExecOptions &Opts,
   Machine M(L, Opts, std::move(Mem));
 
   // Live-in values: overrides first, then name-keyed synthesis.
+  std::vector<char> LiveIn = L.liveInTable();
   for (RegId Reg = 0; Reg < L.numRegs(); ++Reg) {
-    if (!L.isLiveIn(Reg))
+    if (!LiveIn[Reg])
       continue;
     auto It = Opts.LiveInOverrides.find(Reg);
     M.value(Reg) =

@@ -45,6 +45,11 @@ RegId Loop::addReg(RegClass RC, std::string BaseName) {
   return Reg;
 }
 
+void Loop::reserveRegs(unsigned Count) {
+  Classes.reserve(Count);
+  Names.reserve(Count);
+}
+
 RegClass Loop::regClass(RegId Reg) const {
   assert(Reg < Classes.size() && "register id out of range");
   return Classes[Reg];
@@ -81,6 +86,21 @@ bool Loop::isLiveIn(RegId Reg) const {
     if (Instr.Dest == Reg)
       return false;
   return true;
+}
+
+std::vector<char> Loop::liveInTable() const {
+  // Out-of-range ids (a malformed loop) are skipped, as isLiveIn never
+  // matches them against an in-range register.
+  std::vector<char> LiveIn(numRegs(), 1);
+  auto Define = [&](RegId Reg) {
+    if (Reg < LiveIn.size())
+      LiveIn[Reg] = 0;
+  };
+  for (const PhiNode &Phi : Phis)
+    Define(Phi.Dest);
+  for (const Instruction &Instr : Body)
+    Define(Instr.Dest);
+  return LiveIn;
 }
 
 size_t Loop::bodySizeWithoutControl() const {

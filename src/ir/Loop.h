@@ -96,6 +96,8 @@ public:
   RegId addReg(RegClass RC, std::string BaseName = "");
 
   unsigned numRegs() const { return static_cast<unsigned>(Classes.size()); }
+  /// Reserves room for \p Count registers in total.
+  void reserveRegs(unsigned Count);
   RegClass regClass(RegId Reg) const;
   const std::string &regName(RegId Reg) const;
   void setRegName(RegId Reg, std::string NewName);
@@ -116,12 +118,19 @@ public:
   /// Appends a phi node.
   void addPhi(PhiNode Phi);
 
-  /// Returns true if \p Reg is defined by some phi node.
+  /// Returns true if \p Reg is defined by some phi node. Scans the phis.
   bool isPhiDest(RegId Reg) const;
 
   /// Returns true if \p Reg is not defined by any phi or body instruction,
-  /// i.e. it is live into the loop (loop-invariant).
+  /// i.e. it is live into the loop (loop-invariant). Scans the phis and
+  /// the body on every call; a pass that asks about every register uses
+  /// liveInTable() instead.
   bool isLiveIn(RegId Reg) const;
+
+  /// isLiveIn for every register at once: entry Reg is 1 when \p Reg is
+  /// live in, 0 when a phi or body instruction defines it. One pass over
+  /// the phis and the body.
+  std::vector<char> liveInTable() const;
 
   /// Number of non-loop-control body instructions.
   size_t bodySizeWithoutControl() const;

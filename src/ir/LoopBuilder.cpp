@@ -58,7 +58,7 @@ RegId LoopBuilder::emitTo(Opcode Op, RegClass DestClass,
   assert(!Finalized && "builder already finalized");
   Instruction Instr;
   Instr.Op = Op;
-  Instr.Operands = std::move(Operands);
+  Instr.Operands.assign(Operands.begin(), Operands.end());
   Instr.Imm = Imm;
   Instr.Pred = CurrentPred;
   Instr.Dest =
@@ -154,7 +154,7 @@ void LoopBuilder::call(std::vector<RegId> Args) {
   assert(!Finalized && "builder already finalized");
   Instruction Instr;
   Instr.Op = Opcode::Call;
-  Instr.Operands = std::move(Args);
+  Instr.Operands.assign(Args.begin(), Args.end());
   Instr.Pred = CurrentPred;
   Result.addInstruction(std::move(Instr));
 }

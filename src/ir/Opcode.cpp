@@ -26,7 +26,7 @@ constexpr RegClass RCP = RegClass::Pred;
 } // namespace
 
 /// Indexed by Opcode; order must match the enum declaration exactly.
-static const OpcodeInfo Infos[NumOpcodes] = {
+const OpcodeInfo metaopt::detail::OpcodeInfos[NumOpcodes] = {
     //            Name      #Ops Dest DestC OperC  Flt    Mem    Br     Impl   LoopC
     /*IAdd*/ {"iadd", 2, true, RCI, RCI, false, false, false, false, false},
     /*ISub*/ {"isub", 2, true, RCI, RCI, false, false, false, false, false},
@@ -70,12 +70,6 @@ static const OpcodeInfo Infos[NumOpcodes] = {
     {"back_br", 1, false, RCI, RCP, false, false, true, false, true},
 };
 
-const OpcodeInfo &metaopt::opcodeInfo(Opcode Op) {
-  unsigned Index = static_cast<unsigned>(Op);
-  assert(Index < NumOpcodes && "opcode out of range");
-  return Infos[Index];
-}
-
 const char *metaopt::opcodeName(Opcode Op) { return opcodeInfo(Op).Name; }
 
 bool metaopt::parseOpcode(std::string_view Name, Opcode &Out) {
@@ -83,7 +77,8 @@ bool metaopt::parseOpcode(std::string_view Name, Opcode &Out) {
     return false;
   for (unsigned I = 0; I < NumOpcodes; ++I) {
     // The first byte rules out all but one or two mnemonics.
-    if (Infos[I].Name[0] == Name[0] && Name == Infos[I].Name) {
+    const char *Mnemonic = detail::OpcodeInfos[I].Name;
+    if (Mnemonic[0] == Name[0] && Name == Mnemonic) {
       Out = static_cast<Opcode>(I);
       return true;
     }

@@ -18,6 +18,7 @@
 #ifndef METAOPT_IR_OPCODE_H
 #define METAOPT_IR_OPCODE_H
 
+#include <cassert>
 #include <string_view>
 
 namespace metaopt {
@@ -91,8 +92,18 @@ struct OpcodeInfo {
   bool IsLoopControl;    ///< IvAdd/IvCmp/BackBr.
 };
 
-/// Returns the static traits of \p Op.
-const OpcodeInfo &opcodeInfo(Opcode Op);
+namespace detail {
+/// The traits table, indexed by Opcode (ir/Opcode.cpp).
+extern const OpcodeInfo OpcodeInfos[NumOpcodes];
+} // namespace detail
+
+/// Returns the static traits of \p Op. Inline because the instruction
+/// predicates (isMemory, isLoad, isLoopControl, ...) ask on every pass
+/// over a body.
+inline const OpcodeInfo &opcodeInfo(Opcode Op) {
+  assert(static_cast<unsigned>(Op) < NumOpcodes && "opcode out of range");
+  return detail::OpcodeInfos[static_cast<unsigned>(Op)];
+}
 
 /// Returns the mnemonic of \p Op.
 const char *opcodeName(Opcode Op);

@@ -7,7 +7,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <map>
+#include <vector>
 
 using namespace metaopt;
 
@@ -103,9 +103,10 @@ SwpResult metaopt::moduloSchedule(const Loop &L, const DependenceGraph &DG,
   // the producer latency); recurrence sources stay live into the next
   // iteration, adding II cycles, which is accounted inside the pressure
   // loop below since it depends on II.
-  std::map<RegId, bool> Recurs;
+  std::vector<char> Recurs(L.numRegs(), 0);
   for (const PhiNode &Phi : L.phis())
-    Recurs[Phi.Recur] = true;
+    if (Phi.Recur < Recurs.size())
+      Recurs[Phi.Recur] = 1;
 
   struct Lifetime {
     int Cycles = 0;
@@ -113,6 +114,7 @@ SwpResult metaopt::moduloSchedule(const Loop &L, const DependenceGraph &DG,
     RegClass RC = RegClass::Int;
   };
   std::vector<Lifetime> Lifetimes;
+  Lifetimes.reserve(N);
   for (uint32_t Node = 0; Node < N; ++Node) {
     const Instruction &Instr = L.body()[Node];
     if (!Instr.hasDest())
@@ -127,7 +129,7 @@ SwpResult metaopt::moduloSchedule(const Loop &L, const DependenceGraph &DG,
     }
     Lifetime Life;
     Life.Cycles = LastUse - DefStart;
-    Life.CrossesIteration = Recurs.count(Instr.Dest) != 0;
+    Life.CrossesIteration = Recurs[Instr.Dest] != 0;
     Life.RC = L.regClass(Instr.Dest);
     Lifetimes.push_back(Life);
   }

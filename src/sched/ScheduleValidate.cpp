@@ -39,32 +39,6 @@ std::vector<int> metaopt::schedEffectiveLatencies(const Loop &L,
   return Latency;
 }
 
-int metaopt::schedEdgeDelay(const DepEdge &Edge, const Loop &L,
-                            const std::vector<int> &EffectiveLatency) {
-  switch (Edge.Kind) {
-  case DepKind::Data: {
-    const Instruction &Dst = L.body()[Edge.Dst];
-    if (Dst.isStore() && !Dst.Operands.empty() &&
-        L.body()[Edge.Src].Dest == Dst.Operands[0])
-      return 1; // Store buffer absorbs the producer's remaining latency.
-    return EffectiveLatency[Edge.Src];
-  }
-  case DepKind::Memory:
-    return 1;
-  case DepKind::Control:
-    return 0;
-  }
-  return 0;
-}
-
-bool metaopt::schedEdgeEnforced(const Loop &L, const DepEdge &Edge) {
-  if (Edge.Distance != 0)
-    return false; // Cross-iteration constraints are the simulator's job.
-  if (!Edge.Speculatable)
-    return true;
-  return L.body()[Edge.Dst].Op == Opcode::BackBr;
-}
-
 namespace {
 
 std::string fmt(const char *Format, long A, long B = 0, long C = 0,

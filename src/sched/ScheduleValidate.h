@@ -40,13 +40,35 @@ std::vector<int> schedEffectiveLatencies(const Loop &L,
 /// Scheduling delay of \p Edge: data dependences wait out the producer's
 /// effective latency (one cycle into a store's data operand), memory
 /// ordering needs one cycle, control ordering allows same-cycle issue.
-int schedEdgeDelay(const DepEdge &Edge, const Loop &L,
-                   const std::vector<int> &EffectiveLatency);
+/// Inline: the list scheduler asks once per edge.
+inline int schedEdgeDelay(const DepEdge &Edge, const Loop &L,
+                          const std::vector<int> &EffectiveLatency) {
+  switch (Edge.Kind) {
+  case DepKind::Data: {
+    const Instruction &Dst = L.body()[Edge.Dst];
+    if (Dst.isStore() && !Dst.Operands.empty() &&
+        L.body()[Edge.Src].Dest == Dst.Operands[0])
+      return 1; // Store buffer absorbs the producer's remaining latency.
+    return EffectiveLatency[Edge.Src];
+  }
+  case DepKind::Memory:
+    return 1;
+  case DepKind::Control:
+    return 0;
+  }
+  return 0;
+}
 
 /// True when the list scheduler must honor \p Edge: every distance-0 edge
 /// except speculatable control edges, which are re-enforced only into the
 /// backedge branch (the loop cannot branch back before its work issued).
-bool schedEdgeEnforced(const Loop &L, const DepEdge &Edge);
+inline bool schedEdgeEnforced(const Loop &L, const DepEdge &Edge) {
+  if (Edge.Distance != 0)
+    return false; // Cross-iteration constraints are the simulator's job.
+  if (!Edge.Speculatable)
+    return true;
+  return L.body()[Edge.Dst].Op == Opcode::BackBr;
+}
 
 /// Checks \p Sched against every constraint listSchedule promises:
 /// complete placement, deterministic issue order, enforced-edge timing,

@@ -139,6 +139,11 @@ public:
   size_t size() const;
   uint64_t hits() const { return Hits.load(std::memory_order_relaxed); }
   uint64_t misses() const { return Misses.load(std::memory_order_relaxed); }
+  /// Lookups answered by a body an earlier lookup computed: lookups minus
+  /// unique bodies. Two workers that miss one key at the same time both
+  /// compute the body, which moves hits() but not shared(), so shared()
+  /// is the same at every thread count.
+  uint64_t shared() const;
 
 private:
   struct Hash {

@@ -299,6 +299,11 @@ size_t SimBodyStatsCache::size() const {
   return Map.size();
 }
 
+uint64_t SimBodyStatsCache::shared() const {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  return hits() + misses() - Map.size();
+}
+
 //===----------------------------------------------------------------------===//
 // compileLoopSim / evaluatePlan / simulateLoop
 //===----------------------------------------------------------------------===//

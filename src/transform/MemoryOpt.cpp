@@ -6,8 +6,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstddef>
 #include <cstdlib>
-#include <map>
+#include <vector>
 
 using namespace metaopt;
 
@@ -21,7 +22,7 @@ struct AddressKey {
   int64_t Offset;
   int32_t Size;
 
-  auto operator<=>(const AddressKey &) const = default;
+  bool operator==(const AddressKey &) const = default;
 };
 
 AddressKey keyOf(const MemRef &Ref) {
@@ -43,6 +44,9 @@ bool mayOverlap(const MemRef &A, const MemRef &B) {
 /// Availability tables for one forward walk. Entries remember the access
 /// summary of the instruction that produced them (null without a symbolic
 /// analysis) so a later store can be proven disjoint instead of killing.
+/// Each table holds at most one entry per key in a flat vector: the
+/// tables stay small, nothing depends on their order, and a linear scan
+/// beats a node-based map at these sizes.
 class AvailabilityState {
 public:
   AvailabilityState(const SymbolicAnalysis *SA, MemoryOptStats &Stats)
@@ -71,8 +75,8 @@ public:
     // (tests/fuzz_seeds/). Load-to-load redundancy stays width-agnostic:
     // two loads of one slot narrow identically.
     if (!Store.Mem.Indirect && Unpredicated && Store.Mem.SizeBytes == 8)
-      StoredValue[keyOf(Store.Mem)] = {Store.Operands[0], Store.Mem,
-                                       Summary};
+      record(StoredValue, {keyOf(Store.Mem), Store.Operands[0], Store.Mem,
+                           Summary});
   }
 
   void onCall() {
@@ -83,47 +87,63 @@ public:
   /// Returns the register already holding the bytes \p Ref would load, or
   /// NoReg.
   RegId lookup(const MemRef &Ref, bool &FromStore) const {
-    auto Store = StoredValue.find(keyOf(Ref));
-    if (Store != StoredValue.end()) {
+    AddressKey Key = keyOf(Ref);
+    if (const Entry *Store = find(StoredValue, Key)) {
       FromStore = true;
-      return Store->second.Value;
+      return Store->Value;
     }
-    auto Load = LoadedValue.find(keyOf(Ref));
-    if (Load != LoadedValue.end()) {
+    if (const Entry *Load = find(LoadedValue, Key)) {
       FromStore = false;
-      return Load->second.Value;
+      return Load->Value;
     }
     return NoReg;
   }
 
   void recordLoad(const Instruction &Load, const AccessSummary *Summary) {
-    LoadedValue[keyOf(Load.Mem)] = {Load.Dest, Load.Mem, Summary};
+    record(LoadedValue, {keyOf(Load.Mem), Load.Dest, Load.Mem, Summary});
   }
 
 private:
   struct Entry {
+    AddressKey Key;
     RegId Value = NoReg;
     MemRef Ref;
     const AccessSummary *Summary = nullptr;
   };
 
+  static const Entry *find(const std::vector<Entry> &Table,
+                           const AddressKey &Key) {
+    for (const Entry &E : Table)
+      if (E.Key == Key)
+        return &E;
+    return nullptr;
+  }
+
+  /// Inserts \p New, replacing the entry with the same key if any.
+  static void record(std::vector<Entry> &Table, const Entry &New) {
+    for (Entry &E : Table)
+      if (E.Key == New.Key) {
+        E = New;
+        return;
+      }
+    Table.push_back(New);
+  }
+
   void killOverlapping(const MemRef &Ref,
                        const AccessSummary *StoreSummary) {
-    auto Sweep = [&](std::map<AddressKey, Entry> &Table) {
-      for (auto It = Table.begin(); It != Table.end();) {
-        bool Kill = mayOverlap(It->second.Ref, Ref);
+    auto Sweep = [&](std::vector<Entry> &Table) {
+      std::erase_if(Table, [&](const Entry &E) {
+        if (!mayOverlap(E.Ref, Ref))
+          return false;
         // Same-iteration disjointness proof: the write cannot touch the
         // bytes this entry holds, so the entry survives.
-        if (Kill && SA && StoreSummary && It->second.Summary &&
-            provesDisjoint(*SA, *It->second.Summary, *StoreSummary, 0)) {
-          Kill = false;
+        if (SA && StoreSummary && E.Summary &&
+            provesDisjoint(*SA, *E.Summary, *StoreSummary, 0)) {
           ++Stats.DisjointnessWins;
+          return false;
         }
-        if (Kill)
-          It = Table.erase(It);
-        else
-          ++It;
-      }
+        return true;
+      });
     };
     Sweep(StoredValue);
     Sweep(LoadedValue);
@@ -131,8 +151,18 @@ private:
 
   const SymbolicAnalysis *SA;
   MemoryOptStats &Stats;
-  std::map<AddressKey, Entry> StoredValue;
-  std::map<AddressKey, Entry> LoadedValue;
+  std::vector<Entry> StoredValue;
+  std::vector<Entry> LoadedValue;
+};
+
+/// A pairing candidate: an unpredicated, direct, 8-byte strided load.
+struct PairCandidate {
+  int32_t Sym;
+  int64_t Stride;
+  int64_t Offset;
+  uint32_t Index;
+
+  auto operator<=>(const PairCandidate &) const = default;
 };
 
 } // namespace
@@ -140,31 +170,45 @@ private:
 MemoryOptStats metaopt::optimizeMemory(Loop &L,
                                        const SymbolicAnalysis *Symbolic) {
   MemoryOptStats Stats;
+  std::vector<Instruction> &Body = L.body();
 
   //===------------------------------------------------------------------===
   // Pass 1: store-to-load forwarding and redundant load elimination.
   //===------------------------------------------------------------------===
   AvailabilityState Avail(Symbolic, Stats);
-  std::map<RegId, RegId> Replacement;
+  // Replacement[R] is the register a dropped load's destination R now
+  // reads from, NoReg for registers that were not replaced (and NoReg
+  // itself resolves to NoReg).
+  std::vector<RegId> Replacement(L.numRegs(), NoReg);
   auto Resolve = [&](RegId Reg) {
-    while (true) {
-      auto It = Replacement.find(Reg);
-      if (It == Replacement.end())
-        return Reg;
-      Reg = It->second;
-    }
+    while (Reg < Replacement.size() && Replacement[Reg] != NoReg)
+      Reg = Replacement[Reg];
+    return Reg;
   };
 
-  // Summaries ride along with the surviving instructions so pass 2 can
-  // consult the prover by post-rewrite body index.
-  std::vector<Instruction> NewBody;
-  std::vector<const AccessSummary *> NewSummaries;
-  NewBody.reserve(L.body().size());
-  NewSummaries.reserve(L.body().size());
-  for (uint32_t Index = 0; Index < L.body().size(); ++Index) {
-    Instruction Instr = L.body()[Index];
-    const AccessSummary *Summary =
-        Symbolic ? Symbolic->accessAt(Index) : nullptr;
+  // The body is compacted in place: surviving instructions move down to
+  // Kept. Summaries ride along with them so pass 2 can consult the prover
+  // by post-rewrite body index.
+  std::vector<const AccessSummary *> Summaries;
+  Summaries.reserve(Body.size());
+  // The analysis's summaries are in body order; NextAccess walks them
+  // alongside the body.
+  const AccessSummary *NextAccess =
+      Symbolic ? Symbolic->accesses().data() : nullptr;
+  const AccessSummary *AccessEnd =
+      Symbolic ? NextAccess + Symbolic->accesses().size() : nullptr;
+  size_t Kept = 0;
+  auto Keep = [&](Instruction &Instr, const AccessSummary *Summary) {
+    if (&Body[Kept] != &Instr)
+      Body[Kept] = std::move(Instr);
+    ++Kept;
+    Summaries.push_back(Summary);
+  };
+  for (uint32_t Index = 0; Index < Body.size(); ++Index) {
+    Instruction &Instr = Body[Index];
+    const AccessSummary *Summary = nullptr;
+    if (NextAccess != AccessEnd && NextAccess->BodyIndex == Index)
+      Summary = NextAccess++;
     // Rewrite operands through the replacement map first. (Replacements
     // preserve values, so the pre-pass summaries remain accurate.)
     for (RegId &Operand : Instr.Operands)
@@ -174,14 +218,12 @@ MemoryOptStats metaopt::optimizeMemory(Loop &L,
 
     if (Instr.isCall()) {
       Avail.onCall();
-      NewBody.push_back(std::move(Instr));
-      NewSummaries.push_back(Summary);
+      Keep(Instr, Summary);
       continue;
     }
     if (Instr.isStore()) {
       Avail.onStore(Instr, Summary);
-      NewBody.push_back(std::move(Instr));
-      NewSummaries.push_back(Summary);
+      Keep(Instr, Summary);
       continue;
     }
     bool Predicated = Instr.Pred != NoReg;
@@ -192,8 +234,7 @@ MemoryOptStats metaopt::optimizeMemory(Loop &L,
       ++Stats.PromotedGuards;
     }
     if (!Instr.isLoad() || Instr.Mem.Indirect || Predicated) {
-      NewBody.push_back(std::move(Instr));
-      NewSummaries.push_back(Summary);
+      Keep(Instr, Summary);
       continue;
     }
 
@@ -209,34 +250,33 @@ MemoryOptStats metaopt::optimizeMemory(Loop &L,
       continue;
     }
     Avail.recordLoad(Instr, Summary);
-    NewBody.push_back(std::move(Instr));
-    NewSummaries.push_back(Summary);
+    Keep(Instr, Summary);
   }
-  L.body() = std::move(NewBody);
+  Body.erase(Body.begin() + static_cast<std::ptrdiff_t>(Kept), Body.end());
   for (PhiNode &Phi : L.phis())
     Phi.Recur = Resolve(Phi.Recur);
 
   //===------------------------------------------------------------------===
   // Pass 2: pair adjacent 8-byte loads into one wide access.
   //===------------------------------------------------------------------===
-  // Candidates grouped by (sym, stride); each entry is (offset, index).
-  std::map<std::pair<int32_t, int64_t>,
-           std::vector<std::pair<int64_t, uint32_t>>>
-      Groups;
-  for (uint32_t Index = 0; Index < L.body().size(); ++Index) {
-    const Instruction &Instr = L.body()[Index];
+  // Candidates sorted by (sym, stride, offset, index): each (sym, stride)
+  // group is one run, in ascending offset order.
+  std::vector<PairCandidate> Candidates;
+  for (uint32_t Index = 0; Index < Body.size(); ++Index) {
+    const Instruction &Instr = Body[Index];
     bool Predicated = Instr.Pred != NoReg;
-    if (Predicated && NewSummaries[Index] &&
-        NewSummaries[Index]->Guard == PredFact::AlwaysTrue) {
+    if (Predicated && Summaries[Index] &&
+        Summaries[Index]->Guard == PredFact::AlwaysTrue) {
       Predicated = false;
       ++Stats.PromotedGuards;
     }
     if (!Instr.isLoad() || Instr.Mem.Indirect || Predicated ||
         Instr.Paired || Instr.Mem.SizeBytes != 8 || Instr.Mem.Stride == 0)
       continue;
-    Groups[{Instr.Mem.BaseSym, Instr.Mem.Stride}].emplace_back(
-        Instr.Mem.Offset, Index);
+    Candidates.push_back(
+        {Instr.Mem.BaseSym, Instr.Mem.Stride, Instr.Mem.Offset, Index});
   }
+  std::sort(Candidates.begin(), Candidates.end());
 
   // A pair is only legal when no store to the same symbol sits between
   // the two loads (the wide access would read stale bytes) — unless the
@@ -244,18 +284,15 @@ MemoryOptStats metaopt::optimizeMemory(Loop &L,
   // iteration.
   auto StoreBetween = [&](int32_t Sym, uint32_t Lo, uint32_t Hi) {
     for (uint32_t Index = Lo + 1; Index < Hi; ++Index) {
-      const Instruction &Instr = L.body()[Index];
+      const Instruction &Instr = Body[Index];
       if (Instr.isCall())
         return true;
       if (!Instr.isStore() ||
           (Instr.Mem.BaseSym != Sym && !Instr.Mem.Indirect))
         continue;
-      if (Symbolic && NewSummaries[Index] && NewSummaries[Lo] &&
-          NewSummaries[Hi] &&
-          provesDisjoint(*Symbolic, *NewSummaries[Lo],
-                         *NewSummaries[Index], 0) &&
-          provesDisjoint(*Symbolic, *NewSummaries[Hi],
-                         *NewSummaries[Index], 0)) {
+      if (Symbolic && Summaries[Index] && Summaries[Lo] && Summaries[Hi] &&
+          provesDisjoint(*Symbolic, *Summaries[Lo], *Summaries[Index], 0) &&
+          provesDisjoint(*Symbolic, *Summaries[Hi], *Summaries[Index], 0)) {
         ++Stats.DisjointnessWins;
         continue;
       }
@@ -264,24 +301,22 @@ MemoryOptStats metaopt::optimizeMemory(Loop &L,
     return false;
   };
 
-  for (auto &[Key, Loads] : Groups) {
-    std::sort(Loads.begin(), Loads.end());
-    for (size_t I = 0; I + 1 < Loads.size(); ++I) {
-      auto [OffsetA, IndexA] = Loads[I];
-      auto [OffsetB, IndexB] = Loads[I + 1];
-      if (OffsetB - OffsetA != 8)
-        continue;
-      if (L.body()[IndexA].Paired || L.body()[IndexB].Paired)
-        continue;
-      uint32_t Lo = std::min(IndexA, IndexB);
-      uint32_t Hi = std::max(IndexA, IndexB);
-      if (StoreBetween(Key.first, Lo, Hi))
-        continue;
-      // The later body position rides along with the earlier one.
-      L.body()[Hi].Paired = true;
-      ++Stats.PairedLoads;
-      ++I; // Neither half may join another pair.
-    }
+  for (size_t I = 0; I + 1 < Candidates.size(); ++I) {
+    const PairCandidate &A = Candidates[I], &B = Candidates[I + 1];
+    if (A.Sym != B.Sym || A.Stride != B.Stride)
+      continue; // B starts the next group.
+    if (B.Offset - A.Offset != 8)
+      continue;
+    if (Body[A.Index].Paired || Body[B.Index].Paired)
+      continue;
+    uint32_t Lo = std::min(A.Index, B.Index);
+    uint32_t Hi = std::max(A.Index, B.Index);
+    if (StoreBetween(A.Sym, Lo, Hi))
+      continue;
+    // The later body position rides along with the earlier one.
+    Body[Hi].Paired = true;
+    ++Stats.PairedLoads;
+    ++I; // Neither half may join another pair.
   }
   return Stats;
 }

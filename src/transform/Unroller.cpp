@@ -173,6 +173,12 @@ Loop metaopt::unrollLoop(const Loop &L, unsigned Factor) {
   Result.setRuntimeTripCount(
       unrolledTripInfo(L.runtimeTripCount(), Factor).MainIterations);
 
+  // About one target register per source register and copy, plus the
+  // fresh loop-control tail's three; the reservations are only a hint.
+  Result.reserveRegs(L.numRegs() * Factor + 3);
+  Result.body().reserve(L.bodySizeWithoutControl() * Factor + 3);
+  Result.phis().reserve(L.phis().size() * Factor);
+
   UnrollContext Ctx(L, Result, Factor);
 
   // Pre-create the phis; the recurrences are wired up after the copies
@@ -223,16 +229,20 @@ Loop metaopt::unrollLoop(const Loop &L, unsigned Factor) {
       if (Instr.isLoopControl())
         continue; // A single fresh tail is appended below.
       Instruction Clone = Instr;
-      Clone.Operands.clear();
-      for (RegId Operand : Instr.Operands)
-        Clone.Operands.push_back(Ctx.resolve(Operand, Copy));
+      for (RegId &Operand : Clone.Operands)
+        Operand = Ctx.resolve(Operand, Copy);
       if (Instr.Pred != NoReg)
         Clone.Pred = Ctx.resolve(Instr.Pred, Copy);
       if (Instr.hasDest()) {
         std::string NewName = L.regName(Instr.Dest);
-        if (Factor > 1)
-          NewName += "." + std::to_string(Copy);
-        Clone.Dest = Result.addReg(L.regClass(Instr.Dest), NewName);
+        if (Factor > 1) {
+          // Copy < MaxUnrollFactor: always a single digit.
+          static_assert(MaxUnrollFactor <= 10);
+          NewName += '.';
+          NewName += static_cast<char>('0' + Copy);
+        }
+        Clone.Dest =
+            Result.addReg(L.regClass(Instr.Dest), std::move(NewName));
         Ctx.setDef(Copy, Instr.Dest, Clone.Dest);
       }
       if (Instr.isMemory()) {

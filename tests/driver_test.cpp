@@ -5,6 +5,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "cache/SimCache.h"
+#include "concurrency/ThreadPool.h"
 #include "core/driver/Heuristics.h"
 #include "core/driver/Pipeline.h"
 #include "core/driver/SpeedupEvaluator.h"
@@ -160,6 +162,39 @@ TEST(LabelCollectorTest, ContextMutatedClonesStillShareClasses) {
   EXPECT_GE(Stats.SimulationsPruned,
             Corpus[0].Loops.size() * MaxUnrollFactor);
   EXPECT_GT(Stats.pruningRate(), 0.0);
+}
+
+TEST(LabelCollectorTest, StatsAreIdenticalAtEveryThreadCount) {
+  // Every LabelingStats field is a function of the corpus and the options
+  // alone. Two workers that miss the same body key at once both compute
+  // the body, so BodyStatsShared must not be a count of body-cache hits,
+  // which would vary from run to run.
+  CorpusOptions Quick;
+  Quick.MinLoopsPerBenchmark = 4;
+  Quick.MaxLoopsPerBenchmark = 6;
+  std::vector<Benchmark> Corpus = buildCorpus(Quick);
+  for (bool EnableSwp : {false, true}) {
+    LabelingStats Stats[2];
+    std::string Csv[2];
+    for (unsigned Run = 0; Run < 2; ++Run) {
+      ThreadPool::setGlobalThreads(Run == 0 ? 1 : 4);
+      SimCache Cache; // Private and cold: every class compiles its plan.
+      LabelingOptions Options = tinyLabeling();
+      Options.EnableSwp = EnableSwp;
+      Options.Cache = &Cache;
+      Csv[Run] = collectLabels(Corpus, Options, nullptr, &Stats[Run]).toCsv();
+    }
+    SCOPED_TRACE(EnableSwp ? "swp" : "no swp");
+    EXPECT_EQ(Csv[0], Csv[1]);
+    EXPECT_EQ(Stats[0].TotalLoops, Stats[1].TotalLoops);
+    EXPECT_EQ(Stats[0].EquivalenceClasses, Stats[1].EquivalenceClasses);
+    EXPECT_EQ(Stats[0].SimulationsRun, Stats[1].SimulationsRun);
+    EXPECT_EQ(Stats[0].SimulationsPruned, Stats[1].SimulationsPruned);
+    EXPECT_EQ(Stats[0].BodyStatsComputed, Stats[1].BodyStatsComputed);
+    EXPECT_EQ(Stats[0].BodyStatsShared, Stats[1].BodyStatsShared);
+    EXPECT_GT(Stats[0].BodyStatsShared, 0u);
+  }
+  ThreadPool::setGlobalThreads(0); // Restore the default pool.
 }
 
 TEST(LabelCollectorTest, SwpConfigurationDiffers) {

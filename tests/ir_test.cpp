@@ -12,8 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <vector>
 
 using namespace metaopt;
 
@@ -124,6 +126,80 @@ TEST(LoopTest, LiveInAndPhiClassification) {
   EXPECT_FALSE(L.isLiveIn(Phi.Dest));
   EXPECT_TRUE(L.isLiveIn(Phi.Init));
   EXPECT_FALSE(L.isLiveIn(Phi.Recur));
+  // The one-pass table agrees with isLiveIn on every register.
+  std::vector<char> Table = L.liveInTable();
+  ASSERT_EQ(Table.size(), L.numRegs());
+  for (RegId Reg = 0; Reg < L.numRegs(); ++Reg)
+    EXPECT_EQ(Table[Reg] != 0, L.isLiveIn(Reg)) << L.regName(Reg);
+}
+
+TEST(OperandListTest, InlineAndSpilledListsBehaveLikeVectors) {
+  // Every length from empty through past the inline capacity, so both
+  // the inline buffer and the heap path run through copy, move, assign
+  // and growth.
+  for (uint32_t Count = 0; Count <= 3 * OperandList::InlineCapacity;
+       ++Count) {
+    SCOPED_TRACE(Count);
+    std::vector<RegId> Want;
+    OperandList Ops;
+    for (uint32_t I = 0; I < Count; ++I) {
+      Ops.push_back(100 + I);
+      Want.push_back(100 + I);
+    }
+    auto Same = [&](const OperandList &Got) {
+      ASSERT_EQ(Got.size(), Want.size());
+      EXPECT_EQ(Got.empty(), Want.empty());
+      EXPECT_TRUE(std::equal(Got.begin(), Got.end(), Want.begin()));
+      if (!Want.empty()) {
+        EXPECT_EQ(Got.back(), Want.back());
+      }
+    };
+    Same(Ops);
+
+    OperandList Copy = Ops;
+    Same(Copy);
+    OperandList Moved = std::move(Copy);
+    Same(Moved);
+    EXPECT_TRUE(Copy.empty()); // NOLINT(bugprone-use-after-move)
+
+    OperandList Assigned = {7, 8, 9, 10, 11, 12};
+    Assigned = Ops;
+    Same(Assigned);
+    OperandList MoveAssigned = {1};
+    MoveAssigned = std::move(Assigned);
+    Same(MoveAssigned);
+    const OperandList &Self = MoveAssigned;
+    MoveAssigned = Self; // Self-assignment keeps the contents.
+    Same(MoveAssigned);
+
+    OperandList FromRange;
+    FromRange.assign(Want.begin(), Want.end());
+    Same(FromRange);
+    for (RegId &Reg : FromRange)
+      Reg += 1;
+    for (uint32_t I = 0; I < Count; ++I)
+      EXPECT_EQ(FromRange[I], Want[I] + 1);
+
+    FromRange.clear();
+    EXPECT_TRUE(FromRange.empty());
+    FromRange.push_back(5);
+    ASSERT_EQ(FromRange.size(), 1u);
+    EXPECT_EQ(FromRange[0], 5u);
+  }
+}
+
+TEST(OperandListTest, InstructionCopiesKeepOperands) {
+  Instruction Call;
+  Call.Op = Opcode::Call;
+  for (RegId Reg = 0; Reg < 2 * OperandList::InlineCapacity; ++Reg)
+    Call.Operands.push_back(Reg);
+  std::vector<Instruction> Body(3, Call);
+  Body.push_back(Call); // Reallocates: moves the spilled lists.
+  for (const Instruction &Instr : Body) {
+    ASSERT_EQ(Instr.Operands.size(), 2 * OperandList::InlineCapacity);
+    for (RegId Reg = 0; Reg < Instr.Operands.size(); ++Reg)
+      EXPECT_EQ(Instr.Operands[Reg], Reg);
+  }
 }
 
 TEST(LoopTest, RegisterClassesTracked) {

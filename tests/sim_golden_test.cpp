@@ -16,7 +16,15 @@
 //    memory-optimized body;
 //  * every LivenessInfo field, in body order and in schedule order;
 //  * extractFeatures on every loop;
-//  * the quick-corpus labeling CSV with SWP off and on.
+//  * the quick-corpus labeling CSV with SWP off and on;
+//  * every compile stage under the simulator, at factors 1-8 (label
+//    `sim` as well): the printed unrolled loop, the printed
+//    memory-optimized body with every MemoryOptStats field, each
+//    dependence graph's edges and per-node successor and predecessor
+//    order, the symbolic analysis (values, predicate facts, overflow
+//    taint, access summaries, claims), and the quick corpus's
+//    simCacheKey digest (the same pin as ir_text_identity_test, so a key
+//    move shows under `ctest -L sim` too).
 //
 // The loop set is perf_test's corpus slice (2-4 loops per benchmark, each
 // under its own SimContext) plus every tests/fuzz_seeds/*.loop reproducer
@@ -33,10 +41,12 @@
 #include "analysis/DependenceGraph.h"
 #include "analysis/Liveness.h"
 #include "analysis/symbolic/StrideInterval.h"
+#include "cache/SimCache.h"
 #include "core/driver/LabelCollector.h"
 #include "core/features/FeatureExtractor.h"
 #include "corpus/BenchmarkSuite.h"
 #include "ir/Parser.h"
+#include "ir/Printer.h"
 #include "ir/Verifier.h"
 #include "machine/Machine.h"
 #include "sched/ListScheduler.h"
@@ -223,4 +233,165 @@ TEST(SimGolden, QuickCorpusLabelingCsvDigest) {
             "2a54745e3cfbe7ecf3988a4723b9432f");
   EXPECT_EQ(labelingCsvDigest(/*EnableSwp=*/true),
             "cde37cf7b309f771a3f2c26358a97b5e");
+}
+
+//===----------------------------------------------------------------------===//
+// Compile-stage goldens: each stage compileLoopSim runs, on its own.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Source lines are not printed but ride along with every clone.
+void hashSrcLines(FingerprintHasher &H, const Loop &L) {
+  for (const PhiNode &Phi : L.phis())
+    H.u64(Phi.SrcLine);
+  for (const Instruction &Instr : L.body())
+    H.u64(Instr.SrcLine);
+}
+
+void hashMemoryOptStats(FingerprintHasher &H, const MemoryOptStats &S) {
+  H.u64(S.ForwardedLoads);
+  H.u64(S.RedundantLoads);
+  H.u64(S.PairedLoads);
+  H.u64(S.PromotedGuards);
+  H.u64(S.DisjointnessWins);
+  H.u64(S.DeadStoresIgnored);
+}
+
+void hashGraph(FingerprintHasher &H, const DependenceGraph &DG) {
+  H.u64(DG.numNodes());
+  H.u64(DG.edges().size());
+  for (const DepEdge &E : DG.edges()) {
+    H.u64(E.Src);
+    H.u64(E.Dst);
+    H.u64(static_cast<uint64_t>(E.Kind));
+    H.u64(E.Distance);
+    H.boolean(E.Speculatable);
+  }
+  for (uint32_t Node = 0; Node < DG.numNodes(); ++Node) {
+    H.u64(DG.successors(Node).size());
+    for (uint32_t Index : DG.successors(Node))
+      H.u64(Index);
+    H.u64(DG.predecessors(Node).size());
+    for (uint32_t Index : DG.predecessors(Node))
+      H.u64(Index);
+  }
+  H.u64(DG.numMemoryDeps());
+  H.u64(DG.minCarriedMemoryDistance());
+}
+
+void hashSymbolic(FingerprintHasher &H, const SymbolicAnalysis &SA) {
+  const Loop &L = SA.loop();
+  for (RegId Reg = 0; Reg < L.numRegs(); ++Reg) {
+    const AffineValue &V = SA.value(Reg);
+    H.u64(static_cast<uint64_t>(V.K));
+    H.u64(V.Base);
+    H.i64(V.Offset);
+    H.i64(V.Step);
+    H.u64(static_cast<uint64_t>(SA.predFact(Reg)));
+    H.boolean(SA.overflowProne(Reg));
+  }
+  H.u64(SA.accesses().size());
+  for (const AccessSummary &S : SA.accesses()) {
+    H.u64(S.BodyIndex);
+    H.i64(S.Sym);
+    H.boolean(S.IsStore);
+    H.i64(S.SizeBytes);
+    H.boolean(S.AddressKnown);
+    H.u64(S.Base);
+    H.i64(S.Offset);
+    H.i64(S.Stride);
+    H.boolean(S.WasIndirect);
+    H.u64(static_cast<uint64_t>(S.Guard));
+  }
+  std::vector<StaticClaim> Claims = SA.claims();
+  H.u64(Claims.size());
+  for (const StaticClaim &C : Claims) {
+    H.u64(static_cast<uint64_t>(C.K));
+    H.u64(C.A);
+    H.u64(C.B);
+    H.u64(C.Lag);
+    H.u64(C.Reg);
+    H.i64(C.Lo);
+    H.i64(C.Hi);
+  }
+}
+
+} // namespace
+
+TEST(SimGolden, UnrolledLoopDigest) {
+  FingerprintHasher H;
+  for (const GoldenLoop &G : goldenLoops()) {
+    for (unsigned Factor = 1; Factor <= MaxUnrollFactor; ++Factor) {
+      Loop Unrolled = unrollLoop(G.TheLoop, Factor);
+      H.str(printLoop(Unrolled));
+      hashSrcLines(H, Unrolled);
+    }
+  }
+  EXPECT_EQ(hex(H), "54fcbf31ffbaac1197c44af90fa9844f");
+}
+
+TEST(SimGolden, MemoryOptDigest) {
+  // With the symbolic analysis (as the simulator runs it) and without.
+  FingerprintHasher Proven, Plain;
+  for (const GoldenLoop &G : goldenLoops()) {
+    for (unsigned Factor = 1; Factor <= MaxUnrollFactor; ++Factor) {
+      Loop Unrolled = unrollLoop(G.TheLoop, Factor);
+      Loop Body = Unrolled;
+      SymbolicAnalysis Symbolic(Body);
+      hashMemoryOptStats(Proven, optimizeMemory(Body, &Symbolic));
+      Proven.str(printLoop(Body));
+      hashSrcLines(Proven, Body);
+      hashMemoryOptStats(Plain, optimizeMemory(Unrolled));
+      Plain.str(printLoop(Unrolled));
+    }
+  }
+  EXPECT_EQ(hex(Proven), "f9ed38842a69527040fe3b9389e099c1");
+  EXPECT_EQ(hex(Plain), "625db47d5b976883b1c94b3ae0848a4a");
+}
+
+TEST(SimGolden, DependenceGraphDigest) {
+  // On the unrolled body and on the memory-optimized one the schedulers
+  // see.
+  FingerprintHasher Unrolled, Optimized;
+  for (const GoldenLoop &G : goldenLoops()) {
+    for (unsigned Factor = 1; Factor <= MaxUnrollFactor; ++Factor) {
+      hashGraph(Unrolled, DependenceGraph(unrollLoop(G.TheLoop, Factor)));
+      hashGraph(Optimized, DependenceGraph(optimizedBody(G.TheLoop, Factor)));
+    }
+  }
+  EXPECT_EQ(hex(Unrolled), "9cf83373accf28e101fe7c9f8b7802f8");
+  EXPECT_EQ(hex(Optimized), "703eb62de2ab84fa404e954c66e163bb");
+}
+
+TEST(SimGolden, SymbolicAnalysisDigest) {
+  // On the source loop and on every unrolled loop the memory optimizer
+  // consults.
+  FingerprintHasher H;
+  for (const GoldenLoop &G : goldenLoops()) {
+    hashSymbolic(H, SymbolicAnalysis(G.TheLoop));
+    for (unsigned Factor = 2; Factor <= MaxUnrollFactor; ++Factor) {
+      Loop Unrolled = unrollLoop(G.TheLoop, Factor);
+      hashSymbolic(H, SymbolicAnalysis(Unrolled));
+    }
+  }
+  EXPECT_EQ(hex(H), "4247b605cdd27d821407151cc02bede6");
+}
+
+TEST(SimGolden, QuickCorpusSimCacheKeyDigest) {
+  FingerprintHasher H;
+  MachineModel Machine(itanium2Config());
+  CorpusOptions Opts; // ir_text_identity_test's quick corpus.
+  Opts.MinLoopsPerBenchmark = 6;
+  Opts.MaxLoopsPerBenchmark = 10;
+  for (const Benchmark &Bench : buildCorpus(Opts))
+    for (const CorpusLoop &Entry : Bench.Loops)
+      for (unsigned Factor = 1; Factor <= MaxUnrollFactor; ++Factor)
+        for (bool Swp : {false, true}) {
+          SimKey Key =
+              simCacheKey(Entry.TheLoop, Factor, Machine, Entry.Ctx, Swp);
+          H.u64(Key.Lo);
+          H.u64(Key.Hi);
+        }
+  EXPECT_EQ(hex(H), "5c6ff640f1509713263c5d1ca28528cb");
 }
