@@ -7,9 +7,9 @@
 ///
 /// \file
 /// Helpers shared by the table/figure regeneration binaries: the standard
-/// full-corpus pipeline (with on-disk label caching so the suite of
-/// benches labels the corpus only once), paper-vs-measured row printing,
-/// and the ORC-baseline prediction collection used by Table 2.
+/// full-corpus pipeline (whose labels a shared --cache-dir lets the suite
+/// of benches reuse through the simulation cache), paper-vs-measured row
+/// printing, and the ORC-baseline prediction collection used by Table 2.
 ///
 /// Every bench accepts --quick to run on a reduced corpus.
 ///
@@ -48,11 +48,12 @@ inline void applyThreadsFlag(const CommandLine &Args) {
 }
 
 /// Applies the shared simulation-cache flags: --cache-dir=<dir> attaches
-/// the persistent tier of the process-global SimCache (and is also where
-/// the dataset CSVs go), --no-sim-cache disables the cache entirely so
-/// the cache-on/cache-off byte-identity invariant can be spot-checked on
-/// any bench. Without either flag the global cache keeps its environment
-/// defaults (METAOPT_SIM_CACHE / METAOPT_CACHE_DIR).
+/// the persistent tier of the process-global SimCache, the only label
+/// cache, so a bench run after another with the same directory replays
+/// its simulations instead of repeating them; --no-sim-cache disables the
+/// cache entirely so the cache-on/cache-off byte-identity invariant can be
+/// spot-checked on any bench. Without either flag the global cache keeps
+/// its environment defaults (METAOPT_SIM_CACHE / METAOPT_CACHE_DIR).
 inline void applySimCacheFlags(const CommandLine &Args) {
   if (Args.has("no-sim-cache")) {
     SimCacheConfig Config;
@@ -65,9 +66,9 @@ inline void applySimCacheFlags(const CommandLine &Args) {
   }
 }
 
-/// Builds the standard pipeline; --quick shrinks the corpus and disables
-/// the disk cache, --threads=<n> sets the parallelism, --cache-dir /
-/// --no-sim-cache control the simulation cache.
+/// Builds the standard pipeline; --quick shrinks the corpus, --threads=<n>
+/// sets the parallelism, --cache-dir / --no-sim-cache control the
+/// simulation cache.
 inline std::unique_ptr<Pipeline> makePipeline(const CommandLine &Args) {
   applyThreadsFlag(Args);
   applySimCacheFlags(Args);
@@ -75,9 +76,6 @@ inline std::unique_ptr<Pipeline> makePipeline(const CommandLine &Args) {
   if (Args.has("quick")) {
     Options.Corpus.MinLoopsPerBenchmark = 6;
     Options.Corpus.MaxLoopsPerBenchmark = 10;
-    Options.CacheDir = "";
-  } else if (Args.has("cache-dir")) {
-    Options.CacheDir = Args.getString("cache-dir");
   }
   return std::make_unique<Pipeline>(Options);
 }

@@ -37,7 +37,6 @@ int main(int Argc, char **Argv) {
     for (PipelineOptions *O : {&OldOptions, &NewOptions}) {
       O->Corpus.MinLoopsPerBenchmark = 6;
       O->Corpus.MaxLoopsPerBenchmark = 10;
-      O->CacheDir = "";
     }
   }
   Pipeline OldPipe(OldOptions);

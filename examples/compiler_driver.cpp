@@ -145,7 +145,6 @@ int main(int Argc, char **Argv) {
     PipelineOptions Options;
     Options.Corpus.MinLoopsPerBenchmark = 6;
     Options.Corpus.MaxLoopsPerBenchmark = 10;
-    Options.CacheDir = "";
     Pipeline Pipe(Options);
     std::printf("Training the %s classifier on %zu labeled loops...\n\n",
                 Family->Name, Pipe.dataset(EnableSwp).size());

@@ -5,10 +5,15 @@
 #include "ir/Printer.h"
 
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+
+#include <fcntl.h>
+#include <unistd.h>
 
 using namespace metaopt;
 
@@ -273,6 +278,58 @@ std::string readFileIfPresent(const std::string &Path) {
   return Content;
 }
 
+/// Writes all of \p Content to \p Fd, retrying short and interrupted
+/// writes.
+bool writeAll(int Fd, const std::string &Content) {
+  const char *Data = Content.data();
+  size_t Left = Content.size();
+  while (Left > 0) {
+    ssize_t Written = ::write(Fd, Data, Left);
+    if (Written < 0 && errno == EINTR)
+      continue;
+    if (Written <= 0)
+      return false;
+    Data += Written;
+    Left -= static_cast<size_t>(Written);
+  }
+  return true;
+}
+
+/// Publishes \p Content as \p Path in \p Dir so that readers, and a crash
+/// at any point, see either the old complete file or the new complete
+/// file. The bytes go to a temporary name unique to this process and call
+/// (so processes sharing a directory never write one file), are fsynced,
+/// and are renamed over \p Path; then the directory is fsynced so the
+/// rename itself survives a crash. The temporary file is removed on every
+/// failure path.
+bool publishFile(const std::string &Dir, const std::string &Path,
+                 const std::string &Content) {
+  static std::atomic<uint64_t> Sequence{0};
+  std::string Tmp =
+      Path + ".tmp." + std::to_string(::getpid()) + "." +
+      std::to_string(Sequence.fetch_add(1, std::memory_order_relaxed));
+  int Fd = ::open(Tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
+  if (Fd < 0)
+    return false;
+  bool Ok = writeAll(Fd, Content) && ::fsync(Fd) == 0;
+  Ok &= ::close(Fd) == 0;
+  std::error_code Ec;
+  if (Ok) {
+    std::filesystem::rename(Tmp, Path, Ec);
+    Ok = !Ec;
+  }
+  if (!Ok) {
+    std::filesystem::remove(Tmp, Ec);
+    return false;
+  }
+  int DirFd = ::open(Dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (DirFd < 0)
+    return false;
+  Ok = ::fsync(DirFd) == 0;
+  Ok &= ::close(DirFd) == 0;
+  return Ok;
+}
+
 /// Validates the container and returns the payload pointer/size, or an
 /// error. Shared by inspectSimCacheFile and loadPersistent.
 SimCacheFileInfo parseContainer(const std::string &Content,
@@ -382,25 +439,8 @@ bool SimCache::savePersistent() {
 
   std::error_code Ignored;
   std::filesystem::create_directories(Config.PersistentDir, Ignored);
-
-  // Atomic publish: readers either see the old complete file or the new
-  // complete file, never a torn write.
-  std::string Tmp = Path + ".tmp";
-  std::FILE *File = std::fopen(Tmp.c_str(), "wb");
-  if (!File)
+  if (!publishFile(Config.PersistentDir, Path, Content))
     return false;
-  size_t Written = std::fwrite(Content.data(), 1, Content.size(), File);
-  bool Ok = Written == Content.size();
-  Ok &= std::fclose(File) == 0;
-  if (!Ok) {
-    std::filesystem::remove(Tmp, Ignored);
-    return false;
-  }
-  std::filesystem::rename(Tmp, Path, Ignored);
-  if (Ignored) {
-    std::filesystem::remove(Tmp, Ignored);
-    return false;
-  }
   Dirty.store(false, std::memory_order_relaxed);
   return true;
 }

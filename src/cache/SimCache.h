@@ -175,10 +175,13 @@ public:
   /// truncated, or of a different version.
   bool loadPersistent();
 
-  /// Atomically rewrites the persistent file (write temp + rename) with
-  /// the current contents in sorted key order, so the file bytes are
-  /// deterministic regardless of thread count or insertion order.
-  /// Returns false when no PersistentDir is configured or on I/O error.
+  /// Atomically rewrites the persistent file with the current contents in
+  /// sorted key order, so the file bytes are deterministic regardless of
+  /// thread count or insertion order. Writes a temp file unique to this
+  /// process and call, fsyncs it, renames it over the file and fsyncs the
+  /// directory: concurrent savers into one directory never share a temp
+  /// file, and a crash leaves the old or the new file, whole. Returns
+  /// false when no PersistentDir is configured or on I/O error.
   bool savePersistent();
 
   /// savePersistent(), but only when entries were inserted since the last

@@ -8,9 +8,10 @@
 /// \file
 /// One-stop orchestration used by the examples and the benchmark
 /// harnesses: builds the corpus, collects labels for the SWP-off and
-/// SWP-on configurations (caching the datasets as CSV on disk, since
-/// labeling is by far the most expensive step — a week of machine time in
-/// the paper), and hands out the reduced feature set.
+/// SWP-on configurations, and hands out the reduced feature set. Each
+/// dataset is labeled once per Pipeline and kept in memory; labels are
+/// reused across processes only through the persistent tier of the
+/// simulation cache (cache/SimCache.h), when one is configured.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,8 +29,6 @@ struct PipelineOptions {
   CorpusOptions Corpus;
   MachineConfig Machine = itanium2Config();
   MeasurementProtocol Protocol;
-  /// Directory for cached label CSVs; empty disables caching.
-  std::string CacheDir = ".metaopt-cache";
 };
 
 /// Lazily materializes the corpus and the labeled datasets.
@@ -41,29 +40,19 @@ public:
   const std::vector<Benchmark> &corpus();
 
   /// The labeled dataset for the given configuration. The first call
-  /// labels the whole corpus (or loads the disk cache); later calls are
-  /// free. Total raw loop count available via totalLoops().
+  /// labels the whole corpus through collectLabels(); later calls return
+  /// the same object.
   const Dataset &dataset(bool EnableSwp);
-
-  /// Raw (pre-filter) loop count for the configuration; 0 when the
-  /// dataset came from the disk cache.
-  size_t totalLoops(bool EnableSwp) const;
 
   /// Labeling options used for the given configuration.
   LabelingOptions labelingOptions(bool EnableSwp) const;
 
   const PipelineOptions &options() const { return Options; }
 
-  /// Writes the dataset CSV to \p Path (the "released raw loop data").
-  bool exportDatasetCsv(bool EnableSwp, const std::string &Path);
-
 private:
-  std::string cachePath(bool EnableSwp) const;
-
   PipelineOptions Options;
   std::optional<std::vector<Benchmark>> Corpus;
   std::optional<Dataset> DataNoSwp, DataSwp;
-  size_t TotalLoopsNoSwp = 0, TotalLoopsSwp = 0;
 };
 
 } // namespace metaopt

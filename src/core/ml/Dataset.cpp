@@ -81,53 +81,6 @@ std::string Dataset::toCsv() const {
   return Writer.str();
 }
 
-std::optional<Dataset> Dataset::fromCsv(const std::string &Text) {
-  std::vector<std::string> Lines = split(Text, '\n');
-  if (Lines.empty())
-    return std::nullopt;
-  constexpr size_t NumColumns = 3 + MaxUnrollFactor + NumFeatures;
-
-  Dataset Result;
-  bool SawHeader = false;
-  for (const std::string &Line : Lines) {
-    if (trim(Line).empty())
-      continue;
-    if (!SawHeader) {
-      SawHeader = true; // The header row carries no data.
-      continue;
-    }
-    // Dataset CSV cells never contain commas or quotes, so a plain split
-    // suffices here.
-    std::vector<std::string> Cells = split(Line, ',');
-    if (Cells.size() != NumColumns)
-      return std::nullopt;
-    Example Ex;
-    Ex.BenchmarkName = Cells[0];
-    Ex.LoopName = Cells[1];
-    auto Label = parseInt(Cells[2]);
-    if (!Label || *Label < 1 ||
-        *Label > static_cast<int64_t>(MaxUnrollFactor))
-      return std::nullopt;
-    Ex.Label = static_cast<unsigned>(*Label);
-    for (unsigned F = 0; F < MaxUnrollFactor; ++F) {
-      auto Cycles = parseDouble(Cells[3 + F]);
-      if (!Cycles)
-        return std::nullopt;
-      Ex.CyclesPerFactor[F] = *Cycles;
-    }
-    for (unsigned I = 0; I < NumFeatures; ++I) {
-      auto Value = parseDouble(Cells[3 + MaxUnrollFactor + I]);
-      if (!Value)
-        return std::nullopt;
-      Ex.Features[I] = *Value;
-    }
-    Result.add(std::move(Ex));
-  }
-  if (!SawHeader)
-    return std::nullopt;
-  return Result;
-}
-
 std::array<unsigned, MaxUnrollFactor>
 metaopt::factorRanks(const Example &Ex) {
   std::array<unsigned, MaxUnrollFactor> Order;

@@ -9,8 +9,8 @@
 /// The labeled dataset: one example per usable loop, holding its 41-entry
 /// feature vector, the empirically best unroll factor (the label), the
 /// median measured cycles at every factor (for rank/cost analysis and the
-/// oracle), and provenance. Includes CSV round-tripping: the paper released
-/// its raw loop data, and so does this reproduction.
+/// oracle), and provenance. Serializes to CSV in the shape of the raw loop
+/// data the paper released.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,7 +22,6 @@
 #include "support/Rng.h"
 
 #include <array>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -66,12 +65,9 @@ public:
   /// Deterministic random subsample of at most \p MaxSize examples.
   Dataset subsample(size_t MaxSize, Rng &Generator) const;
 
-  /// Serializes to CSV (header + one row per example).
+  /// Serializes to CSV (header + one row per example). Tests and benches
+  /// compare these bytes as the dataset's determinism digest.
   std::string toCsv() const;
-
-  /// Parses a CSV produced by toCsv(). Returns std::nullopt on malformed
-  /// input.
-  static std::optional<Dataset> fromCsv(const std::string &Text);
 
 private:
   std::vector<Example> Examples;

@@ -6,9 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// CSV writing for experiment outputs (figure series, raw loop data). The
-/// paper released its raw loop dataset; `Pipeline::exportDatasetCsv` uses
-/// this writer to do the same.
+/// CSV writing for experiment outputs (figure series, raw loop data).
+/// `Dataset::toCsv` uses this writer for the labeled dataset, in the shape
+/// of the raw loop data the paper released. Nothing reads these files
+/// back: labels are reused only through the simulation cache.
 ///
 //===----------------------------------------------------------------------===//
 

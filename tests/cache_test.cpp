@@ -16,8 +16,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <thread>
 
 using namespace metaopt;
 
@@ -325,6 +328,48 @@ TEST(SimCachePersistentTest, FileBytesAreDeterministic) {
 
   std::filesystem::remove_all(DirA);
   std::filesystem::remove_all(DirB);
+}
+
+TEST(SimCachePersistentTest, ConcurrentSaversIntoOneDirectory) {
+  // Two caches (as two processes sharing a --cache-dir would) publish into
+  // one directory at once. Each save must succeed, the surviving file must
+  // be one whole snapshot, and no temporary file may be left behind.
+  std::string Dir = freshCacheDir("concurrent");
+  MachineModel Machine(itanium2Config());
+  SimContext Ctx;
+
+  SimCacheConfig Config;
+  Config.PersistentDir = Dir;
+  SimCache A(Config), B(Config);
+  for (unsigned Factor = 1; Factor <= MaxUnrollFactor; ++Factor)
+    A.simulate(makeDaxpy(), Factor, Machine, Ctx, false);
+  B.simulate(makeIir(), 2, Machine, Ctx, false);
+
+  constexpr int Rounds = 1000;
+  std::atomic<int> Ready{0}, Failures{0};
+  auto Saver = [&](SimCache &Cache) {
+    Ready.fetch_add(1);
+    while (Ready.load() < 2) {
+    }
+    for (int I = 0; I < Rounds; ++I)
+      if (!Cache.savePersistent())
+        Failures.fetch_add(1);
+  };
+  std::thread First(Saver, std::ref(A)), Second(Saver, std::ref(B));
+  First.join();
+  Second.join();
+  EXPECT_EQ(Failures.load(), 0);
+
+  SimCacheFileInfo Info = inspectSimCacheFile(A.persistentPath());
+  EXPECT_TRUE(Info.Valid) << Info.Error;
+  EXPECT_TRUE(Info.Entries == A.size() || Info.Entries == B.size())
+      << Info.Entries;
+  std::vector<std::string> Left;
+  for (const auto &Entry : std::filesystem::directory_iterator(Dir))
+    Left.push_back(Entry.path().filename().string());
+  EXPECT_EQ(Left, std::vector<std::string>{"sim_cache.bin"});
+
+  std::filesystem::remove_all(Dir);
 }
 
 TEST(SimCachePersistentTest, RejectsCorruptTruncatedAndMismatchedFiles) {

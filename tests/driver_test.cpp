@@ -15,7 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <stdexcept>
 
 using namespace metaopt;
@@ -355,47 +354,38 @@ TEST(SpeedupEvaluatorTest, RejectsUnknownEvalBenchmark) {
 TEST(PipelineTest, LazyAndConsistent) {
   PipelineOptions Options;
   Options.Corpus = tinyCorpus();
-  Options.CacheDir = "";
   Pipeline Pipe(Options);
   EXPECT_EQ(Pipe.corpus().size(), 72u);
   const Dataset &First = Pipe.dataset(false);
   const Dataset &Second = Pipe.dataset(false);
   EXPECT_EQ(&First, &Second); // Same object: labeled once.
-  EXPECT_GT(Pipe.totalLoops(false), First.size());
 }
 
-TEST(PipelineTest, DiskCacheRoundTrips) {
-  std::string CacheDir =
-      ::testing::TempDir() + "/metaopt_pipeline_cache_test";
-  std::filesystem::remove_all(CacheDir);
+TEST(PipelineTest, RelabelsWhenLabelingOptionsChange) {
+  // A labeling-relevant option must reach the labels: every Pipeline's
+  // dataset is exactly what collectLabels produces for its own options,
+  // never a dataset labeled under other options.
+  PipelineOptions Base;
+  Base.Corpus = tinyCorpus();
+  PipelineOptions MoreLoops = Base;
+  MoreLoops.Corpus.MinLoopsPerBenchmark = 3;
+  MoreLoops.Corpus.MaxLoopsPerBenchmark = 4;
+  PipelineOptions Noisier = Base;
+  Noisier.Protocol.NoiseStdDev = 0.05;
 
-  PipelineOptions Options;
-  Options.Corpus = tinyCorpus();
-  Options.CacheDir = CacheDir;
-
-  Pipeline First(Options);
-  const Dataset &Fresh = First.dataset(false);
-  size_t FreshSize = Fresh.size();
-
-  Pipeline Second(Options);
-  const Dataset &Cached = Second.dataset(false);
-  ASSERT_EQ(Cached.size(), FreshSize);
-  for (size_t I = 0; I < FreshSize; ++I) {
-    EXPECT_EQ(Cached[I].Label, Fresh[I].Label);
-    EXPECT_EQ(Cached[I].LoopName, Fresh[I].LoopName);
+  auto Fresh = [](const PipelineOptions &Options) {
+    Pipeline Pipe(Options);
+    return collectLabels(buildCorpus(Options.Corpus),
+                         Pipe.labelingOptions(false))
+        .toCsv();
+  };
+  Pipeline BasePipe(Base);
+  std::string BaseCsv = BasePipe.dataset(false).toCsv();
+  EXPECT_EQ(BaseCsv, Fresh(Base));
+  for (const PipelineOptions &Changed : {MoreLoops, Noisier}) {
+    Pipeline Pipe(Changed);
+    std::string Csv = Pipe.dataset(false).toCsv();
+    EXPECT_EQ(Csv, Fresh(Changed));
+    EXPECT_NE(Csv, BaseCsv);
   }
-  std::filesystem::remove_all(CacheDir);
-}
-
-TEST(PipelineTest, ExportWritesCsv) {
-  PipelineOptions Options;
-  Options.Corpus = tinyCorpus();
-  Options.CacheDir = "";
-  Pipeline Pipe(Options);
-  std::string Path = ::testing::TempDir() + "/metaopt_export_test.csv";
-  ASSERT_TRUE(Pipe.exportDatasetCsv(false, Path));
-  std::FILE *File = std::fopen(Path.c_str(), "rb");
-  ASSERT_NE(File, nullptr);
-  std::fclose(File);
-  std::filesystem::remove(Path);
 }

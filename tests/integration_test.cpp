@@ -34,7 +34,6 @@ protected:
     PipelineOptions Options;
     Options.Corpus.MinLoopsPerBenchmark = 5;
     Options.Corpus.MaxLoopsPerBenchmark = 8;
-    Options.CacheDir = "";
     Pipe = new Pipeline(Options);
     Data = &Pipe->dataset(/*EnableSwp=*/false);
   }
@@ -152,21 +151,6 @@ loop "novel" lang=C nest=1 trip=512 rtrip=512 {
   EXPECT_LT(Chosen.Cycles, Rolled.Cycles * 1.5);
 }
 
-TEST_F(IntegrationTest, DatasetCsvSurvivesFullRoundTrip) {
-  std::string Csv = Data->toCsv();
-  std::optional<Dataset> Loaded = Dataset::fromCsv(Csv);
-  ASSERT_TRUE(Loaded.has_value());
-  ASSERT_EQ(Loaded->size(), Data->size());
-  // Training on the reloaded data gives identical predictions.
-  FeatureSet Features = paperReducedFeatureSet();
-  NearNeighborClassifier A(Features, 0.3), B(Features, 0.3);
-  A.train(*Data);
-  B.train(*Loaded);
-  for (size_t I = 0; I < std::min<size_t>(100, Data->size()); ++I)
-    EXPECT_EQ(A.predict((*Data)[I].Features),
-              B.predict((*Loaded)[I].Features));
-}
-
 TEST_F(IntegrationTest, SwpDatasetPrefersSmallerFactors) {
   const Dataset &Swp = Pipe->dataset(/*EnableSwp=*/true);
   ASSERT_GT(Swp.size(), 100u);
@@ -195,7 +179,6 @@ TEST_F(IntegrationTest, SwpDatasetPrefersSmallerFactors) {
 /// moves these, EXPERIMENTS.md needs regenerating.
 TEST(FullScaleGuard, HeadlineNumbersHold) {
   PipelineOptions Options; // Default: the full 72-benchmark corpus.
-  Options.CacheDir = "";
   Pipeline Pipe(Options);
   const Dataset &Data = Pipe.dataset(/*EnableSwp=*/false);
   EXPECT_GT(Data.size(), 2500u);

@@ -109,34 +109,6 @@ TEST(DatasetTest, SubsampleDeterministicAndBounded) {
   EXPECT_EQ(Data.subsample(500, C).size(), 50u);
 }
 
-TEST(DatasetTest, CsvRoundTrip) {
-  Dataset Data = cleanDataset(25, 5);
-  std::string Csv = Data.toCsv();
-  std::optional<Dataset> Loaded = Dataset::fromCsv(Csv);
-  ASSERT_TRUE(Loaded.has_value());
-  ASSERT_EQ(Loaded->size(), Data.size());
-  for (size_t I = 0; I < Data.size(); ++I) {
-    EXPECT_EQ((*Loaded)[I].Label, Data[I].Label);
-    EXPECT_EQ((*Loaded)[I].LoopName, Data[I].LoopName);
-    EXPECT_EQ((*Loaded)[I].BenchmarkName, Data[I].BenchmarkName);
-    for (unsigned F = 0; F < MaxUnrollFactor; ++F)
-      EXPECT_NEAR((*Loaded)[I].CyclesPerFactor[F],
-                  Data[I].CyclesPerFactor[F], 1e-3);
-    for (unsigned F = 0; F < NumFeatures; ++F)
-      EXPECT_NEAR((*Loaded)[I].Features[F], Data[I].Features[F], 1e-6);
-  }
-}
-
-TEST(DatasetTest, FromCsvRejectsGarbage) {
-  EXPECT_FALSE(Dataset::fromCsv("").has_value());
-  EXPECT_FALSE(Dataset::fromCsv("only,one,line\n1,2,3\n").has_value());
-  // Header-only is an empty but valid dataset.
-  Dataset Empty;
-  std::optional<Dataset> Loaded = Dataset::fromCsv(Empty.toCsv());
-  ASSERT_TRUE(Loaded.has_value());
-  EXPECT_TRUE(Loaded->empty());
-}
-
 TEST(DatasetTest, FactorRanksOrderByCycles) {
   Example Ex;
   for (unsigned F = 0; F < MaxUnrollFactor; ++F)

@@ -1,12 +1,14 @@
 #!/bin/sh
 # Daemon smoke test for the serving stack (ctest label: serve).
 #
-# End to end: metaopt-train publishes a bundle from a tiny corpus,
-# metaopt-serve loads it, 32 concurrent metaopt-predict clients all ask
-# for the same predictions with --json and every response line must be
-# byte-identical, loadgen_serve hammers the daemon while checking the
-# same invariant, and finally SIGTERM must drain cleanly: exit status 0,
-# every client answered, and the socket file removed.
+# End to end: metaopt-train publishes a bundle from a tiny corpus (reruns
+# sharing its --cache-dir must relabel a changed corpus and reproduce the
+# bundle byte for byte), metaopt-serve loads it, 32 concurrent
+# metaopt-predict clients all ask for the same predictions with --json and
+# every response line must be byte-identical, loadgen_serve hammers the
+# daemon while checking the same invariant, and finally SIGTERM must drain
+# cleanly: exit status 0, every client answered, and the socket file
+# removed.
 #
 # Usage: serve_smoke.sh <metaopt-train> <metaopt-serve> <metaopt-predict>
 #                       <loadgen_serve>
@@ -37,10 +39,44 @@ cleanup() {
 trap cleanup EXIT
 
 # --- 1. Train and publish a bundle (tiny corpus keeps this fast). -------
-"$TRAIN" --out="$BUNDLE" --classifier=nn --cv=none \
-         --corpus-min=2 --corpus-max=3 --cache-dir="$WORK/cache" \
-    || fail "metaopt-train exited non-zero"
+train() {
+    LOG="$1"
+    shift
+    "$TRAIN" --classifier=nn --cv=none "$@" 2> "$WORK/$LOG.log" \
+        || fail "metaopt-train $* exited non-zero: $(cat "$WORK/$LOG.log")"
+}
+labeled() {
+    sed -n 's/^metaopt-train: \([0-9]*\) labeled loops$/\1/p' "$WORK/$1.log"
+}
+train cold --out="$BUNDLE" --corpus-min=2 --corpus-max=3 \
+      --cache-dir="$WORK/cache"
 [ -f "$BUNDLE" ] || fail "no bundle was written"
+
+# --cache-dir persists the simulation cache, the only label cache. A run
+# with another corpus size sharing the directory must label its own
+# corpus, exactly as an uncached run does, and a warm rerun must publish
+# the byte-identical bundle.
+train bigger --out="$WORK/bigger.bundle" --corpus-min=3 --corpus-max=4 \
+      --cache-dir="$WORK/cache"
+train uncached --out="$WORK/uncached.bundle" --corpus-min=3 --corpus-max=4
+train warm --out="$WORK/warm.bundle" --corpus-min=2 --corpus-max=3 \
+      --cache-dir="$WORK/cache"
+COLD=$(labeled cold)
+BIGGER=$(labeled bigger)
+[ -n "$COLD" ] && [ -n "$BIGGER" ] \
+    || fail "metaopt-train did not report its labeled-loop count"
+[ "$BIGGER" != "$COLD" ] \
+    || fail "a shared --cache-dir ignored --corpus-min/--corpus-max ($COLD labeled loops twice)"
+[ "$BIGGER" = "$(labeled uncached)" ] \
+    || fail "cached run labeled $BIGGER loops, uncached $(labeled uncached)"
+cmp -s "$WORK/bigger.bundle" "$WORK/uncached.bundle" \
+    || fail "cached and uncached runs published different bundles"
+[ "$(labeled warm)" = "$COLD" ] \
+    || fail "warm rerun labeled $(labeled warm) loops, cold run $COLD"
+cmp -s "$BUNDLE" "$WORK/warm.bundle" \
+    || fail "warm rerun published a different bundle than the cold run"
+[ -f "$WORK/cache/sim_cache.bin" ] \
+    || fail "--cache-dir did not persist the simulation cache"
 
 # A trained bundle must pass inspection.
 "$TRAIN" --inspect "$BUNDLE" > "$WORK/inspect.txt" \

@@ -15,6 +15,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "cache/SimCache.h"
 #include "concurrency/ThreadPool.h"
 #include "core/driver/Pipeline.h"
 #include "core/ml/CrossValidation.h"
@@ -81,7 +82,8 @@ int main(int Argc, char **Argv) {
              "max loops per benchmark (default: 10; the full corpus uses "
              "55)");
   Cli.option("cache-dir", "dir",
-             "cache labeled datasets under <dir> (default: no caching)");
+             "persist the simulation cache under <dir>; a rerun replays "
+             "its simulations (default: METAOPT_CACHE_DIR, else memory only)");
   Cli.option("threads", "n",
              "worker threads (default: METAOPT_THREADS, else hardware "
              "concurrency)");
@@ -145,7 +147,11 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr, "metaopt-train: bad --corpus-min/--corpus-max\n");
     return 2;
   }
-  Options.CacheDir = Cli.getString("cache-dir", "");
+  if (Cli.has("cache-dir")) {
+    SimCacheConfig Cache;
+    Cache.PersistentDir = Cli.getString("cache-dir");
+    SimCache::configureGlobal(Cache);
+  }
 
   Pipeline Pipe(Options);
   std::fprintf(stderr, "metaopt-train: labeling the corpus (swp=%s)...\n",
