@@ -113,23 +113,20 @@ inline std::string benchOutPath(const std::string &Name) {
 }
 
 /// Collects machine-readable result rows (one JSON object per line) and
-/// rewrites BENCH_<name>.json at the repo root on flush. The per-run
-/// rewrite (rather than append) keeps the file a snapshot of the latest
-/// run, which is what trajectory tooling diffs across commits. Multi-phase
-/// harnesses that accumulate one file across several invocations (the
-/// serving soak runs two phases against different topologies) pass
-/// \p Append so later phases add rows instead of clobbering earlier ones.
+/// rewrites BENCH_<name>.json in the working directory on flush. The
+/// per-run rewrite keeps the file a snapshot of the latest run, which is
+/// what trajectory tooling diffs across commits.
 class BenchJsonWriter {
 public:
-  explicit BenchJsonWriter(std::string Name, bool Append = false)
-      : Path("BENCH_" + std::move(Name) + ".json"), Append(Append) {}
+  explicit BenchJsonWriter(std::string Name)
+      : Path("BENCH_" + std::move(Name) + ".json") {}
 
   /// Adds one row; \p Json must be a complete JSON object literal.
   void row(std::string Json) { Rows.push_back(std::move(Json)); }
 
   /// Writes all rows, one per line. Returns false on I/O failure.
   bool flush() const {
-    std::ofstream Out(Path, Append ? std::ios::app : std::ios::out);
+    std::ofstream Out(Path);
     if (!Out)
       return false;
     for (const std::string &Row : Rows)
@@ -142,7 +139,6 @@ public:
 
 private:
   std::string Path;
-  bool Append;
   std::vector<std::string> Rows;
 };
 

@@ -1,53 +1,50 @@
-//===- bench/loadgen_serve.cpp - Closed-loop serving load generator -------===//
+//===- bench/loadgen_serve.cpp - Serving soak driver ----------------------===//
 //
 // Part of the metaopt project, a reproduction of "Predicting Unroll Factors
 // Using Supervised Classification" (Stephenson & Amarasinghe, CGO 2005).
 //
 // Drives a running metaopt-serve daemon (or a metaopt-gateway fronting a
-// fleet) with concurrent closed-loop clients and reports throughput and
-// client-observed latency percentiles as one JSON row — the serving
-// counterpart of the microbench_* harnesses.
+// fleet) for a wall-clock duration with a mixed workload and fails the run
+// (exit 1) when the serving tier misbehaves. It measures no latency:
+// perfbench (perfbench/README.md) is the one source of performance claims.
 //
-// The generator also enforces the serving correctness contract while it
-// measures: every response to the same request text must be byte-identical
-// across clients, iterations, and batch compositions. Any divergence makes
-// the run fail (exit 1), so a throughput number from this harness is also
-// a determinism certificate.
+// The workload: steady closed-loop clients, reconnecting clients, slow
+// readers that dribble their reads, stallers that park a partial frame
+// (expecting the server's read deadline to close them), and oversized
+// senders (expecting bad-request + close). Optionally hot-swaps the served
+// bundle mid-run (--swap-bundle/--swap-target) and confirms the fleet
+// picked it up via health checksums.
 //
-// Two modes:
+// With --reference=<addr>, every predict response must be byte-identical
+// to a serial reference pass against that address (a direct worker, or
+// the same endpoint); without it, every response must parse with status
+// ok. Either way a divergence is an error.
 //
-//  * Legacy (default): N clients x M requests each, byte-identity against
-//    a serial reference pass over the same endpoint. One "bench" row on
-//    stdout; used by tests/serve_smoke.sh.
-//
-//  * Soak (--soak): run for a wall-clock duration with a mixed workload —
-//    steady closed-loop clients, reconnecting clients, slow readers that
-//    dribble their reads, stallers that park a partial frame (expecting
-//    the server's read deadline to close them), and oversized senders
-//    (expecting bad-request + close). Optionally hot-swaps the served
-//    bundle mid-run (--swap-bundle/--swap-target) and confirms the fleet
-//    picked it up via health checksums. Emits one "serve_soak" experiment
-//    row (p50/p99/p999) on stdout and, with --bench=<name>, into
-//    BENCH_<name>.json for metaopt-benchcheck.
+// The run passes only when every gate the started clients imply holds:
+//   errors == 0 (divergent responses included);
+//   >= 50 completed and >= 5 completions/s, when any steady, reconnecting
+//   or slow-reader client ran;
+//   reconnects >= 1 with --reconnectors, expected_closes >= 1 with
+//   --stallers, oversized_rejects >= 1 with --oversized, and
+//   bundle_swaps >= 1 with a swap.
+// It prints one counter summary line and, on failure, names each counter
+// that failed its gate.
 //
 // Usage:
-//   loadgen_serve --socket=<addr> [--clients=32] [--requests=50]
-//                 [--scores] [--deadline-ms=<ms>] [<file.loop> ...]
-//   loadgen_serve --socket=<addr> --soak --duration-s=10 --label=steady
+//   loadgen_serve --socket=<addr> --soak [--duration-s=10] [--label=steady]
+//                 [--clients=4] [--scores] [--deadline-ms=<ms>]
 //                 [--reference=<addr>] [--reconnectors=2] [--slow-readers=1]
 //                 [--stallers=1] [--oversized=1] [--oversized-bytes=<n>]
 //                 [--swap-bundle=<file> --swap-target=<live-path>]
-//                 [--bench=serve] [--bench-append]
+//                 [<file.loop> ...]
 //
 //===----------------------------------------------------------------------===//
 
-#include "BenchCommon.h"
 #include "serve/Client.h"
 #include "serve/Json.h"
 #include "serve/ModelBundle.h"
 #include "support/CommandLine.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -104,32 +101,11 @@ const char *BuiltinLoops[] = {
 })",
 };
 
-struct ClientResult {
-  std::vector<double> LatenciesMs;
-  /// First response seen per request index; compared across clients.
-  std::vector<std::string> Responses;
-  size_t Errors = 0;
-  std::string FirstError;
-};
-
-double percentile(std::vector<double> &Sorted, double P) {
-  if (Sorted.empty())
-    return 0;
-  size_t Rank = static_cast<size_t>(P * static_cast<double>(Sorted.size()));
-  if (Rank >= Sorted.size())
-    Rank = Sorted.size() - 1;
-  return Sorted[Rank];
-}
-
-//===----------------------------------------------------------------------===//
-// Soak mode
-//===----------------------------------------------------------------------===//
-
 using Clock = std::chrono::steady_clock;
 
 struct SoakConfig {
   std::string Address;
-  std::string Reference;  ///< Direct worker for byte-identity (optional).
+  std::string Reference;  ///< Byte-identity reference endpoint (optional).
   std::vector<std::string> LoopTexts;
   bool WantScores = false;
   int64_t DeadlineMs = 0;
@@ -157,13 +133,8 @@ struct SoakState {
   std::atomic<uint64_t> BundleSwaps{0};
 
   std::mutex Mutex;
-  std::vector<double> LatenciesMs;
   std::string FirstError;
 
-  void recordLatency(double Ms) {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    LatenciesMs.push_back(Ms);
-  }
   void recordError(const std::string &Why) {
     Errors.fetch_add(1, std::memory_order_relaxed);
     std::lock_guard<std::mutex> Lock(Mutex);
@@ -187,8 +158,8 @@ bool sendAll(int Fd, const char *Data, size_t Len) {
 
 /// Checks one response against the reference (byte identity) or, without
 /// a reference, against the protocol (parses, status ok).
-void checkResponse(const SoakConfig &Config, SoakState &State,
-                   size_t LoopIndex, const std::string &Line,
+void checkResponse(SoakState &State, size_t LoopIndex,
+                   const std::string &Line,
                    const std::vector<std::string> &Reference) {
   if (!Reference.empty()) {
     if (Line != Reference[LoopIndex]) {
@@ -202,7 +173,6 @@ void checkResponse(const SoakConfig &Config, SoakState &State,
     State.Mismatches.fetch_add(1, std::memory_order_relaxed);
     State.recordError("non-ok response under soak: " + Line);
   }
-  (void)Config;
 }
 
 /// A steady closed-loop client; with \p ReconnectEvery > 0 it drops and
@@ -234,18 +204,14 @@ void steadyClient(const SoakConfig &Config, SoakState &State,
     Request.LoopText = Config.LoopTexts[LoopIndex];
     Request.WantScores = Config.WantScores;
     Request.DeadlineMs = Config.DeadlineMs;
-    auto T0 = Clock::now();
     std::optional<std::string> Line = Client.request(Request, &Error);
-    auto T1 = Clock::now();
     if (!Line) {
       State.recordError("request: " + Error);
       return;
     }
     ++Sent;
     State.Completed.fetch_add(1, std::memory_order_relaxed);
-    State.recordLatency(
-        std::chrono::duration<double, std::milli>(T1 - T0).count());
-    checkResponse(Config, State, LoopIndex, *Line, Reference);
+    checkResponse(State, LoopIndex, *Line, Reference);
   }
 }
 
@@ -263,7 +229,6 @@ void slowReaderClient(const SoakConfig &Config, SoakState &State) {
       State.recordError("slow-reader connect: " + Error);
       return;
     }
-    auto T0 = Clock::now();
     if (!sendAll(Client.fd(), RequestLine.data(), RequestLine.size())) {
       State.recordError("slow-reader send failed");
       return;
@@ -289,9 +254,6 @@ void slowReaderClient(const SoakConfig &Config, SoakState &State) {
       return;
     }
     State.Completed.fetch_add(1, std::memory_order_relaxed);
-    State.recordLatency(std::chrono::duration<double, std::milli>(
-                            Clock::now() - T0)
-                            .count());
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
 }
@@ -438,12 +400,21 @@ void bundleSwapper(const SoakConfig &Config, SoakState &State,
   State.recordError("fleet never converged on the swapped bundle");
 }
 
-int runSoak(SoakConfig Config, const std::string &BenchName,
-            bool BenchAppend) {
+/// Returns whether \p Counter reached \p Min; names it on stderr if not.
+bool atLeast(const char *Counter, double Value, double Min) {
+  if (Value >= Min)
+    return true;
+  std::fprintf(stderr, "loadgen_serve: gate failed: %s = %g, want >= %g\n",
+               Counter, Value, Min);
+  return false;
+}
+
+int runSoak(SoakConfig Config) {
   // Byte-identity reference (optional): one serial pass against a direct
-  // worker. Skipped when a mid-run swap is scheduled — the bytes then
-  // legitimately change under the clients' feet, so each response is
-  // instead validated as a well-formed ok response.
+  // worker or the endpoint under test. Skipped when a mid-run swap is
+  // scheduled — the bytes then legitimately change under the clients'
+  // feet, so each response is instead validated as a well-formed ok
+  // response.
   std::vector<std::string> Reference;
   if (!Config.Reference.empty() && Config.SwapBundle.empty()) {
     ServeClient Client;
@@ -494,118 +465,126 @@ int runSoak(SoakConfig Config, const std::string &BenchName,
   double WallS =
       std::chrono::duration<double>(Clock::now() - Start).count();
 
-  std::sort(State.LatenciesMs.begin(), State.LatenciesMs.end());
   uint64_t Completed = State.Completed.load();
   uint64_t Errors = State.Errors.load();
-  if (!Config.SwapBundle.empty() && State.BundleSwaps.load() == 0)
-    ++Errors; // recordError already captured the reason.
-  bool Matches = State.Mismatches.load() == 0;
-  int64_t TotalClients = Config.Steady + Config.Reconnectors +
-                         Config.SlowReaders + Config.Stallers +
-                         Config.Oversized;
+  uint64_t Reconnects = State.Reconnects.load();
+  uint64_t ExpectedCloses = State.ExpectedCloses.load();
+  uint64_t OversizedRejects = State.OversizedRejects.load();
+  uint64_t BundleSwaps = State.BundleSwaps.load();
+  double Rate = WallS > 0 ? static_cast<double>(Completed) / WallS : 0.0;
+  std::printf("loadgen_serve: %s %.1fs completed=%llu (%.1f/s) errors=%llu "
+              "mismatches=%llu reconnects=%llu expected_closes=%llu "
+              "oversized_rejects=%llu bundle_swaps=%llu\n",
+              Config.Label.c_str(), WallS,
+              static_cast<unsigned long long>(Completed), Rate,
+              static_cast<unsigned long long>(Errors),
+              static_cast<unsigned long long>(State.Mismatches.load()),
+              static_cast<unsigned long long>(Reconnects),
+              static_cast<unsigned long long>(ExpectedCloses),
+              static_cast<unsigned long long>(OversizedRejects),
+              static_cast<unsigned long long>(BundleSwaps));
+  std::fflush(stdout); // The summary precedes any gate failure in logs.
 
-  char RowText[1024];
-  std::snprintf(
-      RowText, sizeof(RowText),
-      "{\"experiment\": \"serve_soak\", \"mode\": \"%s\", "
-      "\"duration_s\": %.1f, \"clients\": %lld, \"completed\": %llu, "
-      "\"errors\": %llu, \"reconnects\": %llu, \"expected_closes\": %llu, "
-      "\"oversized_rejects\": %llu, \"bundle_swaps\": %llu, "
-      "\"throughput_rps\": %.1f, \"p50_ms\": %.3f, \"p99_ms\": %.3f, "
-      "\"p999_ms\": %.3f, \"matches_reference\": %s}",
-      Config.Label.c_str(), WallS,
-      static_cast<long long>(TotalClients),
-      static_cast<unsigned long long>(Completed),
-      static_cast<unsigned long long>(Errors),
-      static_cast<unsigned long long>(State.Reconnects.load()),
-      static_cast<unsigned long long>(State.ExpectedCloses.load()),
-      static_cast<unsigned long long>(State.OversizedRejects.load()),
-      static_cast<unsigned long long>(State.BundleSwaps.load()),
-      WallS > 0 ? static_cast<double>(Completed) / WallS : 0.0,
-      percentile(State.LatenciesMs, 0.50),
-      percentile(State.LatenciesMs, 0.99),
-      percentile(State.LatenciesMs, 0.999), Matches ? "true" : "false");
-  std::printf("%s\n", RowText);
-
-  if (!BenchName.empty()) {
-    BenchJsonWriter Writer(BenchName, BenchAppend);
-    Writer.row(RowText);
-    if (!Writer.flush()) {
-      std::fprintf(stderr, "loadgen_serve: cannot write %s\n",
-                   Writer.path().c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "loadgen_serve: row %s to %s\n",
-                 BenchAppend ? "appended" : "written",
-                 Writer.path().c_str());
-  }
-
+  // Every client kind started sets an expectation on its own counter.
+  bool Pass = true;
   if (Errors != 0) {
     std::lock_guard<std::mutex> Lock(State.Mutex);
-    std::fprintf(stderr, "loadgen_serve: soak saw %llu error(s); first: %s\n",
+    std::fprintf(stderr, "loadgen_serve: gate failed: errors = %llu, want "
+                         "0; first: %s\n",
                  static_cast<unsigned long long>(Errors),
                  State.FirstError.c_str());
-    return 1;
+    Pass = false;
   }
-  return 0;
+  if (Config.Steady + Config.Reconnectors + Config.SlowReaders > 0) {
+    Pass &= atLeast("completed", static_cast<double>(Completed), 50);
+    Pass &= atLeast("completions_per_s", Rate, 5);
+  }
+  if (Config.Reconnectors > 0)
+    Pass &= atLeast("reconnects", static_cast<double>(Reconnects), 1);
+  if (Config.Stallers > 0)
+    Pass &= atLeast("expected_closes", static_cast<double>(ExpectedCloses),
+                    1);
+  if (Config.Oversized > 0)
+    Pass &= atLeast("oversized_rejects",
+                    static_cast<double>(OversizedRejects), 1);
+  if (!Config.SwapBundle.empty())
+    Pass &= atLeast("bundle_swaps", static_cast<double>(BundleSwaps), 1);
+  return Pass ? 0 : 1;
 }
 
 } // namespace
 
 int main(int Argc, char **Argv) {
   CliParser Cli("loadgen_serve",
-                "Closed-loop load generator for metaopt-serve: N "
-                "concurrent clients,\nthroughput + latency percentiles "
-                "as a JSON row, with byte-identity checks.\n--soak runs "
-                "a sustained mixed workload (reconnects, slow readers,\n"
-                "stallers, oversized frames, optional mid-run bundle "
-                "hot-swap).");
+                "Soak driver for metaopt-serve and metaopt-gateway: a "
+                "sustained mixed\nworkload (steady clients, reconnects, "
+                "slow readers, stallers, oversized\nframes, optional "
+                "mid-run bundle hot-swap) that exits 1 when a counter\n"
+                "misses the gate its clients imply.");
   Cli.option("socket", "addr",
              "daemon address: unix socket path or host:port (required)");
-  Cli.option("clients", "n", "concurrent client connections (default: 32)");
-  Cli.option("requests", "n", "requests per client (default: 50)");
+  Cli.flag("soak", "run the mixed-workload soak (required)");
+  Cli.option("clients", "n", "steady closed-loop clients (default: 4)");
   Cli.flag("scores", "request per-factor scores");
   Cli.option("deadline-ms", "ms", "per-request deadline (default: none)");
-  Cli.flag("soak", "sustained mixed-workload mode (serve_soak row)");
-  Cli.option("duration-s", "s", "soak wall-clock duration (default: 10)");
-  Cli.option("label", "name", "soak row \"mode\" label (default: steady)");
+  Cli.option("duration-s", "s", "wall-clock duration (default: 10)");
+  Cli.option("label", "name", "summary line label (default: steady)");
   Cli.option("reference", "addr",
-             "direct worker for the soak byte-identity reference");
-  Cli.option("reconnectors", "n", "soak clients that reconnect (default: 0)");
-  Cli.option("slow-readers", "n",
-             "soak clients that dribble reads (default: 0)");
+             "endpoint of the serial byte-identity reference pass");
+  Cli.option("reconnectors", "n", "clients that reconnect (default: 0)");
+  Cli.option("slow-readers", "n", "clients that dribble reads (default: 0)");
   Cli.option("stallers", "n",
-             "soak clients that park partial frames (default: 0)");
+             "clients that park partial frames (default: 0)");
   Cli.option("oversized", "n",
-             "soak clients that send oversized lines (default: 0)");
+             "clients that send oversized lines (default: 0)");
   Cli.option("oversized-bytes", "n",
              "size of an oversized line (default: 1 MiB + 1 KiB)");
   Cli.option("swap-bundle", "file", "bundle to hot-swap in mid-soak");
   Cli.option("swap-target", "path", "live bundle path the fleet watches");
-  Cli.option("bench", "name",
-             "also write the soak row to BENCH_<name>.json");
-  Cli.flag("bench-append", "append to the bench file instead of rewriting");
   Cli.positionalHelp("[<file.loop> ...]",
                      "loop files to cycle through (default: built-ins)");
   if (std::optional<int> Exit = Cli.parse(Argc, Argv))
     return *Exit;
 
-  std::string SocketPath = Cli.getString("socket");
-  if (SocketPath.empty()) {
-    std::fprintf(stderr, "loadgen_serve: --socket is required\n%s",
+  SoakConfig Config;
+  Config.Address = Cli.getString("socket");
+  if (Config.Address.empty() || !Cli.has("soak")) {
+    std::fprintf(stderr, "loadgen_serve: --socket and --soak are required\n%s",
                  Cli.usage().c_str());
     return 2;
   }
-  int64_t Clients = Cli.getInt("clients", 32);
-  int64_t Requests = Cli.getInt("requests", 50);
-  int64_t DeadlineMs = Cli.getInt("deadline-ms", 0);
-  if (Clients < 1 || Requests < 1 || DeadlineMs < 0) {
-    std::fprintf(stderr, "loadgen_serve: bad --clients/--requests value\n");
+  Config.Reference = Cli.getString("reference");
+  Config.WantScores = Cli.has("scores");
+  Config.DeadlineMs = Cli.getInt("deadline-ms", 0);
+  Config.DurationS = Cli.getInt("duration-s", 10);
+  Config.Steady = Cli.getInt("clients", 4);
+  Config.Reconnectors = Cli.getInt("reconnectors", 0);
+  Config.SlowReaders = Cli.getInt("slow-readers", 0);
+  Config.Stallers = Cli.getInt("stallers", 0);
+  Config.Oversized = Cli.getInt("oversized", 0);
+  Config.OversizedBytes = Cli.getInt("oversized-bytes", Config.OversizedBytes);
+  Config.SwapBundle = Cli.getString("swap-bundle");
+  Config.SwapTarget = Cli.getString("swap-target");
+  Config.Label = Cli.has("label") ? Cli.getString("label") : "steady";
+  if (Config.DeadlineMs < 0 || Config.DurationS < 1 || Config.Steady < 0 ||
+      Config.Reconnectors < 0 || Config.SlowReaders < 0 ||
+      Config.Stallers < 0 || Config.Oversized < 0 ||
+      Config.OversizedBytes < 2) {
+    std::fprintf(stderr, "loadgen_serve: bad soak tuning\n");
     return 2;
   }
-  bool WantScores = Cli.has("scores");
+  if (Config.SwapBundle.empty() != Config.SwapTarget.empty()) {
+    std::fprintf(stderr, "loadgen_serve: --swap-bundle and --swap-target "
+                         "go together\n");
+    return 2;
+  }
+  if (Config.Steady + Config.Reconnectors + Config.SlowReaders +
+          Config.Stallers + Config.Oversized <
+      1) {
+    std::fprintf(stderr, "loadgen_serve: soak needs at least one client\n");
+    return 2;
+  }
 
-  std::vector<std::string> LoopTexts;
   for (const std::string &File : Cli.positional()) {
     std::ifstream In(File);
     if (!In) {
@@ -615,157 +594,11 @@ int main(int Argc, char **Argv) {
     }
     std::stringstream Buffer;
     Buffer << In.rdbuf();
-    LoopTexts.push_back(Buffer.str());
+    Config.LoopTexts.push_back(Buffer.str());
   }
-  if (LoopTexts.empty())
+  if (Config.LoopTexts.empty())
     for (const char *Text : BuiltinLoops)
-      LoopTexts.emplace_back(Text);
+      Config.LoopTexts.emplace_back(Text);
 
-  if (Cli.has("soak")) {
-    SoakConfig Config;
-    Config.Address = SocketPath;
-    Config.Reference = Cli.getString("reference");
-    Config.LoopTexts = LoopTexts;
-    Config.WantScores = WantScores;
-    Config.DeadlineMs = DeadlineMs;
-    Config.DurationS = Cli.getInt("duration-s", 10);
-    Config.Steady = Cli.has("clients") ? Clients : 4;
-    Config.Reconnectors = Cli.getInt("reconnectors", 0);
-    Config.SlowReaders = Cli.getInt("slow-readers", 0);
-    Config.Stallers = Cli.getInt("stallers", 0);
-    Config.Oversized = Cli.getInt("oversized", 0);
-    Config.OversizedBytes =
-        Cli.getInt("oversized-bytes", Config.OversizedBytes);
-    Config.SwapBundle = Cli.getString("swap-bundle");
-    Config.SwapTarget = Cli.getString("swap-target");
-    Config.Label = Cli.has("label") ? Cli.getString("label") : "steady";
-    if (Config.DurationS < 1 || Config.Steady < 0 ||
-        Config.Reconnectors < 0 || Config.SlowReaders < 0 ||
-        Config.Stallers < 0 || Config.Oversized < 0 ||
-        Config.OversizedBytes < 2) {
-      std::fprintf(stderr, "loadgen_serve: bad soak tuning\n");
-      return 2;
-    }
-    if (Config.SwapBundle.empty() != Config.SwapTarget.empty()) {
-      std::fprintf(stderr, "loadgen_serve: --swap-bundle and --swap-target "
-                           "go together\n");
-      return 2;
-    }
-    if (Config.Steady + Config.Reconnectors + Config.SlowReaders +
-            Config.Stallers + Config.Oversized <
-        1) {
-      std::fprintf(stderr, "loadgen_serve: soak needs at least one client\n");
-      return 2;
-    }
-    return runSoak(std::move(Config), Cli.getString("bench"),
-                   Cli.has("bench-append"));
-  }
-
-  auto RequestFor = [&](size_t Index) {
-    WireRequest Request;
-    Request.TheOp = WireRequest::Op::Predict;
-    Request.LoopText = LoopTexts[Index % LoopTexts.size()];
-    Request.WantScores = WantScores;
-    Request.DeadlineMs = DeadlineMs;
-    return Request;
-  };
-
-  // Serial reference pass: one client, one request per distinct loop.
-  // Every concurrent response must match these bytes exactly.
-  std::vector<std::string> Reference(LoopTexts.size());
-  {
-    ServeClient Client;
-    std::string Error;
-    if (!Client.connectWithRetry(SocketPath, 2000, &Error)) {
-      std::fprintf(stderr, "loadgen_serve: %s\n", Error.c_str());
-      return 1;
-    }
-    for (size_t I = 0; I < LoopTexts.size(); ++I) {
-      std::optional<std::string> Line =
-          Client.request(RequestFor(I), &Error);
-      if (!Line) {
-        std::fprintf(stderr, "loadgen_serve: reference pass: %s\n",
-                     Error.c_str());
-        return 1;
-      }
-      Reference[I] = *Line;
-    }
-  }
-
-  std::vector<ClientResult> Results(static_cast<size_t>(Clients));
-  std::vector<std::thread> Threads;
-  auto Start = std::chrono::steady_clock::now();
-  for (int64_t C = 0; C < Clients; ++C) {
-    Threads.emplace_back([&, C] {
-      ClientResult &Result = Results[static_cast<size_t>(C)];
-      ServeClient Client;
-      std::string Error;
-      if (!Client.connectWithRetry(SocketPath, 2000, &Error)) {
-        Result.Errors = static_cast<size_t>(Requests);
-        Result.FirstError = Error;
-        return;
-      }
-      for (int64_t R = 0; R < Requests; ++R) {
-        size_t LoopIndex = static_cast<size_t>(R) % LoopTexts.size();
-        auto T0 = std::chrono::steady_clock::now();
-        std::optional<std::string> Line =
-            Client.request(RequestFor(LoopIndex), &Error);
-        auto T1 = std::chrono::steady_clock::now();
-        if (!Line) {
-          ++Result.Errors;
-          if (Result.FirstError.empty())
-            Result.FirstError = Error;
-          break; // The connection is gone; stop this client.
-        }
-        Result.LatenciesMs.push_back(
-            std::chrono::duration<double, std::milli>(T1 - T0).count());
-        if (*Line != Reference[LoopIndex]) {
-          ++Result.Errors;
-          if (Result.FirstError.empty())
-            Result.FirstError =
-                "response diverged from the serial reference: " + *Line;
-        }
-      }
-    });
-  }
-  for (std::thread &T : Threads)
-    T.join();
-  double WallMs = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - Start)
-                      .count();
-
-  std::vector<double> All;
-  size_t Errors = 0;
-  std::string FirstError;
-  for (const ClientResult &Result : Results) {
-    All.insert(All.end(), Result.LatenciesMs.begin(),
-               Result.LatenciesMs.end());
-    Errors += Result.Errors;
-    if (FirstError.empty())
-      FirstError = Result.FirstError;
-  }
-  std::sort(All.begin(), All.end());
-  double Mean = 0;
-  for (double L : All)
-    Mean += L;
-  if (!All.empty())
-    Mean /= static_cast<double>(All.size());
-
-  std::printf(
-      "{\"bench\":\"loadgen_serve\",\"clients\":%lld,"
-      "\"requests_per_client\":%lld,\"completed\":%zu,\"errors\":%zu,"
-      "\"wall_ms\":%.1f,\"throughput_rps\":%.1f,\"latency_ms\":{"
-      "\"mean\":%.3f,\"p50\":%.3f,\"p95\":%.3f,\"p99\":%.3f},"
-      "\"consistent\":%s}\n",
-      static_cast<long long>(Clients), static_cast<long long>(Requests),
-      All.size(), Errors, WallMs,
-      WallMs > 0 ? 1000.0 * static_cast<double>(All.size()) / WallMs : 0.0,
-      Mean, percentile(All, 0.50), percentile(All, 0.95),
-      percentile(All, 0.99), Errors == 0 ? "true" : "false");
-  if (Errors != 0) {
-    std::fprintf(stderr, "loadgen_serve: %zu errors; first: %s\n", Errors,
-                 FirstError.c_str());
-    return 1;
-  }
-  return 0;
+  return runSoak(std::move(Config));
 }

@@ -34,8 +34,9 @@ trap 'kill -TERM $SERVE_PID 2>/dev/null; wait $SERVE_PID 2>/dev/null' EXIT
     "$LOOPS"/saxpy.loop "$LOOPS"/reduction.loop "$LOOPS"/search.loop
 
 echo
-echo "== 4. Load-test it (32 closed-loop clients, byte-identity checked) =="
-"$BUILD/bench/loadgen_serve" --socket="$SOCKET" --clients=32 --requests=25
+echo "== 4. Soak it (32 clients for 2 s, byte-identity checked) =="
+"$BUILD/bench/loadgen_serve" --socket="$SOCKET" --soak --duration-s=2 \
+    --clients=32 --scores --reference="$SOCKET"
 
 echo
 echo "== 5. Drain =="

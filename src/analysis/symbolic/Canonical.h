@@ -11,7 +11,8 @@
 /// receive identical SimResults at every unroll factor, so the labeling
 /// pipeline simulates one representative per equivalence class and reuses
 /// the results for the rest (core/driver/LabelCollector.h; the pruning
-/// rate is reported in BENCH_pipeline.json).
+/// rate is LabelingStats::pruningRate(), and perfbench reports the pruned
+/// count as driver.sims_pruned).
 ///
 /// The normalized dimensions — each one verified against the simulator
 /// by the static-claims fuzz oracle on every campaign case:

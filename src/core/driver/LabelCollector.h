@@ -52,8 +52,8 @@ struct LabelingOptions {
   /// folded in only under SWP, where the modulo scheduler reads them.
   /// Measurement noise is applied per (benchmark, loop) name downstream
   /// of the simulator, so pruned and unpruned sweeps produce
-  /// byte-identical datasets (asserted by tests/driver_test.cpp and
-  /// measured in BENCH_pipeline.json).
+  /// byte-identical datasets (asserted by tests/driver_test.cpp; perfbench
+  /// reports the pruned count as driver.sims_pruned).
   bool PruneEquivalent = true;
 };
 

@@ -10,8 +10,8 @@
 /// metaopt-predict, the gateway's backend connections, and the load
 /// generator: connects to a daemon, writes one request line, reads one
 /// response line. One instance is one connection and must stay on one
-/// thread at a time; concurrent load uses one client per thread
-/// (bench/loadgen_serve.cpp).
+/// thread at a time; concurrent load uses one client per thread (the
+/// soak driver in bench/loadgen_serve.cpp).
 ///
 /// Addresses name either transport: a string containing a ':' whose
 /// suffix is a port number ("127.0.0.1:7000") connects over TCP;

@@ -5,10 +5,10 @@
 # sharing its --cache-dir must relabel a changed corpus and reproduce the
 # bundle byte for byte), metaopt-serve loads it, 32 concurrent
 # metaopt-predict clients all ask for the same predictions with --json and
-# every response line must be byte-identical, loadgen_serve hammers the
-# daemon while checking the same invariant, and finally SIGTERM must drain
-# cleanly: exit status 0, every client answered, and the socket file
-# removed.
+# every response line must be byte-identical, a loadgen_serve soak hammers
+# the daemon while checking every response against a serial reference
+# pass, and finally SIGTERM must drain cleanly: exit status 0, every
+# client answered, and the socket file removed.
 #
 # Usage: serve_smoke.sh <metaopt-train> <metaopt-serve> <metaopt-predict>
 #                       <loadgen_serve>
@@ -147,11 +147,10 @@ fi
 grep -q '"status":"malformed"' "$WORK/broken.json" \
     || fail "malformed loop not reported as malformed"
 
-# --- 5. Closed-loop load with byte-identity checks. ---------------------
-"$LOADGEN" --socket="$SOCKET" --clients="$CLIENTS" --requests=20 --scores \
-    > "$WORK/loadgen.json" || fail "loadgen reported divergence or errors"
-grep -q '"consistent":true' "$WORK/loadgen.json" \
-    || fail "loadgen output missing consistent:true"
+# --- 5. Sustained load, byte-identical to a serial reference pass. ------
+"$LOADGEN" --socket="$SOCKET" --soak --duration-s=2 --clients="$CLIENTS" \
+    --scores --reference="$SOCKET" > "$WORK/loadgen.out" 2>&1 \
+    || fail "loadgen soak failed: $(cat "$WORK/loadgen.out")"
 
 # --- 6. SIGTERM must drain cleanly. -------------------------------------
 kill -TERM "$SERVE_PID"
@@ -170,5 +169,5 @@ SERVE_PID=""
 grep -q "drained cleanly" "$WORK/serve.log" \
     || fail "daemon log missing the drain summary"
 
-echo "serve_smoke: PASS ($CLIENTS concurrent clients, loadgen $(cat "$WORK/loadgen.json"))"
+echo "serve_smoke: PASS ($CLIENTS concurrent clients; $(cat "$WORK/loadgen.out"))"
 exit 0

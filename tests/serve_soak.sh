@@ -3,8 +3,10 @@
 #
 # Topology: metaopt-gateway fronting two metaopt-serve workers over TCP,
 # both watching the same live bundle path for hot reload. Two phases,
-# accumulating rows into one BENCH_serve.json that metaopt-benchcheck
-# gates against bench/serve_floor.json:
+# each a loadgen_serve soak that enforces its own gates (zero errors, at
+# least 50 completions at 5/s or more, and one reconnect, expected close,
+# oversized reject and bundle swap per client kind started) and exits 1
+# naming the counter that failed:
 #
 #  * steady: a mixed well-behaved workload (closed-loop clients,
 #    reconnectors, slow readers) through the gateway, with every predict
@@ -21,7 +23,6 @@
 #
 # Usage: serve_soak.sh <metaopt-train> <metaopt-serve> <metaopt-gateway>
 #                      <metaopt-predict> <loadgen_serve>
-#                      <metaopt-benchcheck> <floor.json>
 set -u
 
 TRAIN="$1"
@@ -29,8 +30,6 @@ SERVE="$2"
 GATEWAY="$3"
 PREDICT="$4"
 LOADGEN="$5"
-BENCHCHECK="$6"
-FLOOR="$7"
 
 WORK="${TMPDIR:-/tmp}/metaopt_serve_soak_$$"
 rm -rf "$WORK"
@@ -95,13 +94,11 @@ GW_PID=$!
 grep -q '"backends_healthy": *2' "$WORK/gw_health.json" \
     || fail "gateway does not see 2 healthy backends: $(cat "$WORK/gw_health.json")"
 
-cd "$WORK" || fail "cannot cd to workdir"
-
 # --- 4. Phase A: steady soak, byte-identical to a direct worker. --------
 "$LOADGEN" --socket="$GW_SOCK" --reference="127.0.0.1:$PORT1" \
            --soak --duration-s=6 --label=steady \
            --clients=4 --reconnectors=2 --slow-readers=1 \
-           --bench=serve > "$WORK/steady.out" \
+           > "$WORK/steady.out" 2>&1 \
     || fail "steady soak failed: $(cat "$WORK/steady.out")"
 
 # --- 5. Phase B: chaos soak with a worker kill and a bundle swap. -------
@@ -110,7 +107,7 @@ cd "$WORK" || fail "cannot cd to workdir"
            --clients=4 --reconnectors=2 --slow-readers=1 \
            --stallers=1 --oversized=1 \
            --swap-bundle="$WORK/b.bundle" --swap-target="$LIVE" \
-           --bench=serve --bench-append > "$WORK/chaos.out" &
+           > "$WORK/chaos.out" 2>&1 &
 SOAK_PID=$!
 
 # A third of the way in, SIGTERM one worker; the gateway must fail the
@@ -130,12 +127,7 @@ W2_PID=""
 grep -q '"status": *"degraded"' "$WORK/degraded.json" \
     || fail "gateway not degraded after the kill: $(cat "$WORK/degraded.json")"
 
-# --- 6. Gate the accumulated rows against the committed floors. ---------
-[ -f "$WORK/BENCH_serve.json" ] || fail "soak produced no BENCH_serve.json"
-"$BENCHCHECK" --floor="$FLOOR" "$WORK/BENCH_serve.json" \
-    || fail "benchcheck rejected the soak rows"
-
-# --- 7. Everything drains cleanly. --------------------------------------
+# --- 6. Everything drains cleanly. --------------------------------------
 kill -TERM "$GW_PID"
 kill -TERM "$W1_PID"
 for NAME in gateway worker1; do
@@ -156,5 +148,5 @@ grep -q "drained cleanly" "$WORK/gw.log" \
     || fail "gateway log missing the drain summary"
 
 echo "serve_soak: PASS"
-cat "$WORK/BENCH_serve.json"
+cat "$WORK/steady.out" "$WORK/chaos.out"
 exit 0

@@ -7,15 +7,14 @@
 ///
 /// \file
 /// Validates a bench trajectory file (newline-delimited flat JSON rows,
-/// e.g. the repo-root BENCH_pipeline.json rewritten by
-/// bench/microbench_pipeline) for the CI bench-smoke job (docs/PERF.md):
+/// e.g. the repo-root BENCH_generalization.json written by
+/// bench/table_generalization) for the perf test tier (docs/TESTING.md):
 ///
-///  * every row must parse as a flat JSON object and carry the required
-///    keys for its experiment;
+///  * every row must parse as a JSON object of scalars and carry the
+///    required keys for its experiment;
 ///  * every identity flag present must be true — any boolean key whose
-///    name contains "match" (csv_matches_serial, matches_reference,
-///    findings_match_serial, ...) is a correctness contract, not a
-///    metric;
+///    name contains "match" (findings_match_serial, ...) is a correctness
+///    contract, not a metric;
 ///  * every floor row in the --floor file must match at least one bench
 ///    row and that row must meet the floor.
 ///
@@ -24,24 +23,24 @@
 /// named `max_<metric>` asserts `row.<metric> <= value` on the matched
 /// row; every other key is an exact-match selector. So
 ///
-///   {"experiment": "labeling", "mode": "production", "threads": 4,
-///    "min_speedup_vs_serial": 1.50}
+///   {"experiment": "classifier_microbench", "benchmark": "BM_MlpPredict",
+///    "min_iterations": 1, "max_real_ns": 5000000.0}
 ///
-/// fails the run unless a production labeling row at 4 threads exists
-/// with speedup_vs_serial >= 1.5 (bench/perf_floor.json is the floor
-/// the CI bench-smoke job enforces; bench/serve_floor.json gates the
-/// serving soak, e.g. {"experiment": "serve_soak", "max_errors": 0}).
+/// fails the run unless a BM_MlpPredict row exists with at least one
+/// iteration and real_ns <= 5 ms (bench/generalization_floor.json and
+/// bench/classifier_floor.json are the floors the perf tier enforces).
 /// Exit status: 0 clean, 1 any validation failure.
 ///
 /// Usage:
-///   metaopt-benchcheck --floor=bench/perf_floor.json BENCH_pipeline.json
+///   metaopt-benchcheck --floor=bench/classifier_floor.json
+///       BENCH_classifiers.json
 ///
 //===----------------------------------------------------------------------===//
 
+#include "serve/Json.h"
 #include "support/CommandLine.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <string>
@@ -51,110 +50,38 @@ using namespace metaopt;
 
 namespace {
 
-/// One flat JSON scalar: string, number, boolean, or null (the
-/// generalization bench serializes the missing LOOCV side of its
-/// calibration rows as null).
-struct Value {
-  enum Kind { Str, Num, Bool, Null } K = Str;
-  std::string S;
-  double N = 0.0;
-  bool B = false;
+/// One bench row: the members of a flat JSON object, each a string,
+/// number, boolean or null (the generalization bench serializes the
+/// missing LOOCV side of its calibration rows as null).
+using Row = std::map<std::string, JsonValue>;
 
-  std::string describe() const {
-    switch (K) {
-    case Str:
-      return "\"" + S + "\"";
-    case Num:
-      return std::to_string(N);
-    case Bool:
-      return B ? "true" : "false";
-    case Null:
-      return "null";
-    }
-    return "?";
-  }
-};
+std::string describe(const JsonValue &V) {
+  if (V.isString())
+    return "\"" + V.Str + "\"";
+  if (V.isNumber())
+    return std::to_string(V.Number);
+  if (V.isBool())
+    return V.Boolean ? "true" : "false";
+  return "null";
+}
 
-using Row = std::map<std::string, Value>;
-
-/// Parses one flat JSON object ({"key": scalar, ...}); no nesting, no
-/// arrays, no escape sequences beyond \" — exactly what the benches
-/// emit. Returns false with \p Error set on malformed input.
+/// Parses one row with the serving JSON reader; a document that is not an
+/// object, or that nests an array or object, is malformed. A duplicate
+/// key keeps its first value.
 bool parseRow(const std::string &Line, Row &Out, std::string &Error) {
-  size_t I = 0;
-  auto SkipWs = [&] {
-    while (I < Line.size() && (Line[I] == ' ' || Line[I] == '\t'))
-      ++I;
-  };
-  auto Fail = [&](const std::string &Why) {
-    Error = Why + " at byte " + std::to_string(I);
+  std::optional<JsonValue> Doc = parseJson(Line);
+  if (!Doc || !Doc->isObject()) {
+    Error = "not a well-formed JSON object";
     return false;
-  };
-  SkipWs();
-  if (I >= Line.size() || Line[I] != '{')
-    return Fail("expected '{'");
-  ++I;
-  SkipWs();
-  if (I < Line.size() && Line[I] == '}')
-    return true; // Empty object.
-  for (;;) {
-    SkipWs();
-    if (I >= Line.size() || Line[I] != '"')
-      return Fail("expected key string");
-    ++I;
-    std::string Key;
-    while (I < Line.size() && Line[I] != '"')
-      Key += Line[I++];
-    if (I >= Line.size())
-      return Fail("unterminated key");
-    ++I;
-    SkipWs();
-    if (I >= Line.size() || Line[I] != ':')
-      return Fail("expected ':'");
-    ++I;
-    SkipWs();
-    Value V;
-    if (I < Line.size() && Line[I] == '"') {
-      ++I;
-      V.K = Value::Str;
-      while (I < Line.size() && Line[I] != '"') {
-        if (Line[I] == '\\' && I + 1 < Line.size())
-          ++I;
-        V.S += Line[I++];
-      }
-      if (I >= Line.size())
-        return Fail("unterminated string");
-      ++I;
-    } else if (Line.compare(I, 4, "true") == 0) {
-      V.K = Value::Bool;
-      V.B = true;
-      I += 4;
-    } else if (Line.compare(I, 5, "false") == 0) {
-      V.K = Value::Bool;
-      V.B = false;
-      I += 5;
-    } else if (Line.compare(I, 4, "null") == 0) {
-      V.K = Value::Null;
-      I += 4;
-    } else {
-      const char *Begin = Line.c_str() + I;
-      char *End = nullptr;
-      V.K = Value::Num;
-      V.N = std::strtod(Begin, &End);
-      if (End == Begin)
-        return Fail("expected value");
-      I += static_cast<size_t>(End - Begin);
-    }
-    Out.emplace(Key, V);
-    SkipWs();
-    if (I < Line.size() && Line[I] == ',') {
-      ++I;
-      continue;
-    }
-    if (I < Line.size() && Line[I] == '}')
-      return true;
-    return Fail("expected ',' or '}'");
   }
+  for (auto &[Key, V] : Doc->Members) {
+    if (V.isArray() || V.isObject()) {
+      Error = "\"" + Key + "\" holds a nested value";
+      return false;
+    }
+    Out.emplace(Key, std::move(V));
+  }
+  return true;
 }
 
 bool readRows(const std::string &Path, std::vector<Row> &Out,
@@ -184,28 +111,11 @@ bool readRows(const std::string &Path, std::vector<Row> &Out,
   return true;
 }
 
-/// Required keys per experiment, mirroring what microbench_pipeline
-/// emits. A missing "experiment" key or an unlisted experiment fails:
+/// Required keys per experiment, mirroring what the benches emit. A
+/// missing "experiment" key or an unlisted experiment fails:
 /// new experiments must be registered here so CI keeps validating them.
 const std::map<std::string, std::vector<std::string>> &requiredKeys() {
   static const std::map<std::string, std::vector<std::string>> Schema = {
-      {"labeling",
-       {"corpus", "swp", "mode", "threads", "hw_threads", "loops",
-        "usable", "seconds", "speedup_vs_serial", "csv_matches_serial",
-        "cache_hits", "cache_misses", "cache_inserts"}},
-      {"labeling_prune",
-       {"corpus", "swp", "pruned", "loops", "classes", "sims_run",
-        "sims_pruned", "pruning_rate", "seconds", "speedup_vs_unpruned",
-        "csv_matches_unpruned"}},
-      {"labeling_cache",
-       {"phase", "seconds", "speedup_vs_cold", "cache_hits",
-        "cache_misses", "cache_inserts", "cache_entries",
-        "persistent_loaded", "csv_matches_uncached"}},
-      {"serve_soak",
-       {"mode", "duration_s", "clients", "completed", "errors",
-        "reconnects", "expected_closes", "oversized_rejects",
-        "bundle_swaps", "throughput_rps", "p50_ms", "p99_ms", "p999_ms",
-        "matches_reference"}},
       {"lint_sweep",
        {"threads", "loops", "errors", "warnings", "notes", "seconds",
         "speedup_vs_serial", "findings_match_serial"}},
@@ -222,20 +132,14 @@ const std::map<std::string, std::vector<std::string>> &requiredKeys() {
   return Schema;
 }
 
-bool valuesMatch(const Value &A, const Value &B) {
+bool valuesMatch(const JsonValue &A, const JsonValue &B) {
   if (A.K != B.K)
     return false;
-  switch (A.K) {
-  case Value::Str:
-    return A.S == B.S;
-  case Value::Num:
-    return A.N == B.N;
-  case Value::Bool:
-    return A.B == B.B;
-  case Value::Null:
-    return true;
-  }
-  return false;
+  if (A.isString())
+    return A.Str == B.Str;
+  if (A.isNumber())
+    return A.Number == B.Number;
+  return A.Boolean == B.Boolean; // Bool; null == null.
 }
 
 std::string describeRow(const Row &R) {
@@ -243,7 +147,7 @@ std::string describeRow(const Row &R) {
   for (const auto &[Key, V] : R) {
     if (Text.size() > 1)
       Text += ", ";
-    Text += Key + ": " + V.describe();
+    Text += Key + ": " + describe(V);
     if (Text.size() > 120) {
       Text += ", ...";
       break;
@@ -258,7 +162,7 @@ int main(int Argc, char **Argv) {
   CliParser Cli("metaopt-benchcheck",
                 "Validates newline-delimited flat-JSON bench rows "
                 "(BENCH_*.json):\nschema per experiment, byte-identity "
-                "flags, and perf floors (docs/PERF.md).");
+                "flags, and floors (docs/TESTING.md).");
   Cli.option("floor", "file", "flat-JSON floor rows to enforce");
   Cli.positionalHelp("<bench.json>", "bench trajectory file to validate");
   if (std::optional<int> Exit = Cli.parse(Argc, Argv))
@@ -281,25 +185,25 @@ int main(int Argc, char **Argv) {
   // Schema: every row names a known experiment and carries its keys.
   for (const Row &R : Rows) {
     auto Exp = R.find("experiment");
-    if (Exp == R.end() || Exp->second.K != Value::Str) {
+    if (Exp == R.end() || !Exp->second.isString()) {
       std::fprintf(stderr, "row missing \"experiment\": %s\n",
                    describeRow(R).c_str());
       ++Failures;
       continue;
     }
-    auto Schema = requiredKeys().find(Exp->second.S);
+    auto Schema = requiredKeys().find(Exp->second.Str);
     if (Schema == requiredKeys().end()) {
       std::fprintf(stderr,
                    "unknown experiment \"%s\" (register its required keys "
                    "in metaopt-benchcheck)\n",
-                   Exp->second.S.c_str());
+                   Exp->second.Str.c_str());
       ++Failures;
       continue;
     }
     for (const std::string &Key : Schema->second)
       if (!R.count(Key)) {
         std::fprintf(stderr, "%s row missing \"%s\": %s\n",
-                     Exp->second.S.c_str(), Key.c_str(),
+                     Exp->second.Str.c_str(), Key.c_str(),
                      describeRow(R).c_str());
         ++Failures;
       }
@@ -309,8 +213,8 @@ int main(int Argc, char **Argv) {
     for (const auto &[Key, V] : R) {
       bool Contract =
           Key.rfind("csv_matches_", 0) == 0 ||
-          (Key.find("match") != std::string::npos && V.K == Value::Bool);
-      if (Contract && (V.K != Value::Bool || !V.B)) {
+          (Key.find("match") != std::string::npos && V.isBool());
+      if (Contract && (!V.isBool() || !V.Boolean)) {
         std::fprintf(stderr, "identity contract broken (%s): %s\n",
                      Key.c_str(), describeRow(R).c_str());
         ++Failures;
@@ -348,20 +252,20 @@ int main(int Argc, char **Argv) {
             continue;
           std::string Metric = Key.substr(4);
           auto It = R.find(Metric);
-          if (It == R.end() || It->second.K != Value::Num) {
+          if (It == R.end() || !It->second.isNumber()) {
             std::fprintf(stderr, "floor metric \"%s\" absent: %s\n",
                          Metric.c_str(), describeRow(R).c_str());
             ++Failures;
-          } else if (IsMin && It->second.N < V.N) {
+          } else if (IsMin && It->second.Number < V.Number) {
             std::fprintf(stderr,
                          "floor violated: %s = %.3f < %.3f in %s\n",
-                         Metric.c_str(), It->second.N, V.N,
+                         Metric.c_str(), It->second.Number, V.Number,
                          describeRow(R).c_str());
             ++Failures;
-          } else if (IsMax && It->second.N > V.N) {
+          } else if (IsMax && It->second.Number > V.Number) {
             std::fprintf(stderr,
                          "ceiling violated: %s = %.3f > %.3f in %s\n",
-                         Metric.c_str(), It->second.N, V.N,
+                         Metric.c_str(), It->second.Number, V.Number,
                          describeRow(R).c_str());
             ++Failures;
           }
