@@ -4,7 +4,7 @@
 // Using Supervised Classification" (Stephenson & Amarasinghe, CGO 2005).
 //
 // Wall-clock of the full-corpus lint sweep (analysis/lint via
-// corpus/CorpusAudit) across the work-stealing pool, printed as JSON rows
+// corpus/CorpusAudit) across the thread pool, printed as JSON rows
 // (one object per line) and rewritten into BENCH_lint.json for
 // metaopt-benchcheck. Also re-checks the determinism contract: every
 // thread count must produce the byte-identical findings the serial sweep

@@ -25,7 +25,7 @@
 /// invariant is enforced by tests/cache_test.cpp.
 ///
 /// Tiers:
-///  - In-memory: a striped (sharded) hash map safe under the work-stealing
+///  - In-memory: a striped (sharded) hash map safe under the thread
 ///    pool; locks are per-shard so concurrent labeling threads rarely
 ///    contend. Hit/miss/insert statistics are kept with relaxed atomics.
 ///  - Persistent (optional): a versioned, checksummed, atomically-written

@@ -7,7 +7,7 @@
 ///
 /// \file
 /// The façade every parallel call site uses. parallelFor(I) runs a body
-/// over an index range on the work-stealing pool; parallelMap collects one
+/// over an index range on the thread pool; parallelMap collects one
 /// result per index into a vector ordered by index, so the output is
 /// independent of which worker ran which index — the cornerstone of the
 /// determinism contract (docs/CONCURRENCY.md). Bodies that need

@@ -5,8 +5,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <cstdint>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdlib>
 #include <deque>
 #include <mutex>
@@ -19,17 +19,15 @@ using namespace metaopt::detail;
 namespace metaopt {
 namespace detail {
 
-struct Task;
-
-/// One parallel region: a parallelFor range or a TaskGroup. Lives on the
-/// waiter's stack (run()) or inside the TaskGroup; tasks reference it and
-/// are all consumed before the waiter returns, so no refcounting is
-/// needed. Completion is signalled through the pool-wide event channel
-/// (the pool always outlives its jobs), which avoids the classic
-/// destroy-while-notifying race of a per-job condition variable.
+/// One parallel region. Lives on the stack of the run() that opened it;
+/// its chunks reference it and are all consumed before that run()
+/// returns, so no refcounting is needed. Completion is signalled through
+/// the pool-wide event channel (the pool always outlives its jobs), which
+/// avoids the classic destroy-while-notifying race of a per-job condition
+/// variable.
 struct Job {
-  std::function<void(size_t)> Body; ///< Null for task groups.
-  std::atomic<size_t> Pending{0};   ///< Indices not yet finished.
+  const std::function<void(size_t)> *Body = nullptr;
+  std::atomic<size_t> Pending{0}; ///< Indices not yet finished.
   std::mutex ErrorMutex;
   std::exception_ptr Error;
   size_t ErrorIndex = static_cast<size_t>(-1);
@@ -48,99 +46,11 @@ struct Job {
   }
 };
 
-/// A unit of work: either a chunk [Begin, End) of a parallel-for job, or
-/// one spawned TaskGroup closure (End == Begin + 1, GroupFn set).
+/// A unit of work: the chunk [Begin, End) of a job's index range.
 struct Task {
   Job *Parent = nullptr;
   size_t Begin = 0;
   size_t End = 0;
-  std::function<void()> GroupFn;
-};
-
-/// Chase-Lev work-stealing deque of Task pointers. The owner pushes and
-/// pops at the bottom; any other thread steals from the top. All atomics
-/// use seq_cst rather than the weakest correct orders: the tasks here are
-/// milliseconds of simulation or training each, so deque overhead is
-/// irrelevant, and seq_cst avoids the standalone fences of the
-/// weak-memory formulation (which ThreadSanitizer does not model).
-class WorkDeque {
-public:
-  WorkDeque() : Buffer(new Ring(InitialCapacity)) {}
-  ~WorkDeque() {
-    delete Buffer.load();
-    for (Ring *Old : Retired)
-      delete Old;
-  }
-
-  /// Owner only.
-  void push(Task *T) {
-    int64_t B = Bottom.load();
-    int64_t F = Top.load();
-    Ring *R = Buffer.load();
-    if (B - F >= R->Capacity) {
-      R = grow(R, F, B);
-      Buffer.store(R);
-    }
-    R->slot(B).store(T);
-    Bottom.store(B + 1);
-  }
-
-  /// Owner only. Returns nullptr when empty.
-  Task *pop() {
-    int64_t B = Bottom.load() - 1;
-    Ring *R = Buffer.load();
-    Bottom.store(B);
-    int64_t F = Top.load();
-    if (F > B) {
-      Bottom.store(B + 1); // Empty: undo.
-      return nullptr;
-    }
-    Task *T = R->slot(B).load();
-    if (F != B)
-      return T; // More than one element left; no race with thieves.
-    // Last element: race the thieves for it via the top counter.
-    bool Won = Top.compare_exchange_strong(F, F + 1);
-    Bottom.store(B + 1);
-    return Won ? T : nullptr;
-  }
-
-  /// Any thread. Returns nullptr when empty or when the steal raced.
-  Task *steal() {
-    int64_t F = Top.load();
-    int64_t B = Bottom.load();
-    if (F >= B)
-      return nullptr;
-    Task *T = Buffer.load()->slot(F).load();
-    if (!Top.compare_exchange_strong(F, F + 1))
-      return nullptr; // Lost the race; T must not be used.
-    return T;
-  }
-
-private:
-  static constexpr int64_t InitialCapacity = 256;
-
-  struct Ring {
-    explicit Ring(int64_t N) : Capacity(N), Slots(new std::atomic<Task *>[N]) {}
-    ~Ring() { delete[] Slots; }
-    std::atomic<Task *> &slot(int64_t I) { return Slots[I & (Capacity - 1)]; }
-    const int64_t Capacity; ///< Power of two.
-    std::atomic<Task *> *Slots;
-  };
-
-  Ring *grow(Ring *Old, int64_t F, int64_t B) {
-    Ring *Bigger = new Ring(Old->Capacity * 2);
-    for (int64_t I = F; I < B; ++I)
-      Bigger->slot(I).store(Old->slot(I).load());
-    // Thieves may still be reading the old ring; retire it until the
-    // deque dies instead of freeing it.
-    Retired.push_back(Old);
-    return Bigger;
-  }
-
-  std::atomic<int64_t> Top{0};
-  std::atomic<int64_t> Bottom{0};
-  std::atomic<Ring *> Buffer;
-  std::vector<Ring *> Retired;
 };
 
 struct PoolImpl {
@@ -148,11 +58,10 @@ struct PoolImpl {
   ~PoolImpl();
 
   unsigned ThreadCount; ///< Workers + the calling thread.
-  std::vector<std::unique_ptr<WorkDeque>> Deques; ///< One per worker.
   std::vector<std::thread> Workers;
 
-  std::mutex InjectMutex;
-  std::deque<Task *> Injected; ///< Submissions from non-worker threads.
+  std::mutex QueueMutex;
+  std::deque<Task *> Queue; ///< Chunks not yet taken, oldest region first.
 
   /// Event channel: bumped (and broadcast) whenever work is pushed or a
   /// job completes, so parked workers and helping waiters re-scan.
@@ -183,30 +92,23 @@ struct PoolImpl {
     Waiters.fetch_sub(1);
   }
 
-  void workerLoop(unsigned WorkerIndex);
-  Task *findWork(int SelfIndex);
+  void workerLoop();
+  Task *takeWork();
   void execute(Task &T);
-  void submit(Task *T, int SelfIndex);
   void helpUntilDone(Job &J);
-  int currentWorkerIndex() const;
 };
 
 namespace {
-/// Which pool (if any) owns the current thread, and which worker slot it
-/// occupies; lets nested parallel regions push to their own deque.
-thread_local PoolImpl *CurrentPool = nullptr;
-thread_local int CurrentWorker = -1;
+/// The pool whose task body the current thread is running, if any. A
+/// region that pool opens from here runs inline (ThreadPool::run).
+thread_local const PoolImpl *RunningTaskOf = nullptr;
 } // namespace
 
 PoolImpl::PoolImpl(unsigned Threads) : ThreadCount(Threads) {
   assert(Threads >= 1 && "thread count must be at least 1");
-  unsigned NumWorkers = Threads - 1;
-  Deques.reserve(NumWorkers);
-  for (unsigned I = 0; I < NumWorkers; ++I)
-    Deques.push_back(std::make_unique<WorkDeque>());
-  Workers.reserve(NumWorkers);
-  for (unsigned I = 0; I < NumWorkers; ++I)
-    Workers.emplace_back([this, I] { workerLoop(I); });
+  Workers.reserve(Threads - 1);
+  for (unsigned I = 1; I < Threads; ++I)
+    Workers.emplace_back([this] { workerLoop(); });
 }
 
 PoolImpl::~PoolImpl() {
@@ -224,71 +126,39 @@ PoolImpl::~PoolImpl() {
     W.join();
 }
 
-int PoolImpl::currentWorkerIndex() const {
-  return CurrentPool == this ? CurrentWorker : -1;
-}
-
-Task *PoolImpl::findWork(int SelfIndex) {
-  // Own deque first (LIFO: depth-first on nested regions), then the
-  // injection queue, then steal a task from another worker (FIFO on the
-  // victim: steals take the oldest, largest-remaining work first).
-  if (SelfIndex >= 0)
-    if (Task *T = Deques[SelfIndex]->pop())
-      return T;
-  {
-    std::lock_guard<std::mutex> Lock(InjectMutex);
-    if (!Injected.empty()) {
-      Task *T = Injected.front();
-      Injected.pop_front();
-      return T;
-    }
-  }
-  size_t N = Deques.size();
-  size_t Start = SelfIndex >= 0 ? static_cast<size_t>(SelfIndex) + 1 : 0;
-  // Two sweeps: a failed CAS in steal() is a race, not proof of empty.
-  for (int Sweep = 0; Sweep < 2; ++Sweep)
-    for (size_t I = 0; I < N; ++I) {
-      size_t Victim = (Start + I) % N;
-      if (static_cast<int>(Victim) == SelfIndex)
-        continue;
-      if (Task *T = Deques[Victim]->steal())
-        return T;
-    }
-  return nullptr;
+Task *PoolImpl::takeWork() {
+  // FIFO: chunks are taken in index order, so a region whose costs fall
+  // with the index hands out its largest chunks first.
+  std::lock_guard<std::mutex> Lock(QueueMutex);
+  if (Queue.empty())
+    return nullptr;
+  Task *T = Queue.front();
+  Queue.pop_front();
+  return T;
 }
 
 void PoolImpl::execute(Task &T) {
   Job &J = *T.Parent;
   size_t Count = T.End - T.Begin;
+  // Saved and restored: a task of another pool may be helping this one.
+  const PoolImpl *Outer = RunningTaskOf;
+  RunningTaskOf = this;
   for (size_t I = T.Begin; I < T.End; ++I) {
     try {
-      if (T.GroupFn)
-        T.GroupFn();
-      else
-        J.Body(I);
+      (*J.Body)(I);
     } catch (...) {
       J.recordError(I, std::current_exception());
     }
   }
+  RunningTaskOf = Outer;
   if (J.Pending.fetch_sub(Count) == Count)
     signalEvent(); // Job complete: wake its waiter.
 }
 
-void PoolImpl::submit(Task *T, int SelfIndex) {
-  if (SelfIndex >= 0) {
-    Deques[SelfIndex]->push(T);
-  } else {
-    std::lock_guard<std::mutex> Lock(InjectMutex);
-    Injected.push_back(T);
-  }
-}
-
-void PoolImpl::workerLoop(unsigned WorkerIndex) {
-  CurrentPool = this;
-  CurrentWorker = static_cast<int>(WorkerIndex);
+void PoolImpl::workerLoop() {
   for (;;) {
     uint64_t Epoch = EventEpoch.load();
-    if (Task *T = findWork(static_cast<int>(WorkerIndex))) {
+    if (Task *T = takeWork()) {
       execute(*T);
       continue;
     }
@@ -299,29 +169,18 @@ void PoolImpl::workerLoop(unsigned WorkerIndex) {
 }
 
 void PoolImpl::helpUntilDone(Job &J) {
-  int SelfIndex = currentWorkerIndex();
   while (J.Pending.load() != 0) {
     uint64_t Epoch = EventEpoch.load();
-    if (Task *T = findWork(SelfIndex)) {
+    if (Task *T = takeWork()) {
       execute(*T);
       continue;
     }
-    // All of this job's tasks are taken but some are still running (or
+    // All of this job's chunks are taken but some are still running (or
     // new work appeared between the scan and here — the epoch catches
     // that). Park until an event rather than spinning.
     waitEvent(Epoch, [&] { return J.Pending.load() == 0; });
   }
 }
-
-struct GroupImpl {
-  explicit GroupImpl(ThreadPool &P) : Pool(*P.Impl) {}
-  PoolImpl &Pool;
-  Job TheJob;
-  std::mutex SpawnMutex;
-  std::deque<Task> Tasks; ///< Stable addresses; guarded by SpawnMutex.
-  size_t NextIndex = 0;
-  bool Joined = false;
-};
 
 } // namespace detail
 } // namespace metaopt
@@ -354,29 +213,31 @@ void ThreadPool::run(size_t Begin, size_t End,
   if (Begin >= End)
     return;
   size_t N = End - Begin;
-  if (Impl->ThreadCount == 1 || N == 1) {
+  if (Impl->ThreadCount == 1 || N == 1 || RunningTaskOf == Impl.get()) {
     // The golden serial path: plain loop, natural exception propagation.
+    // A nested region takes it too, so only the outermost region fans
+    // out and the caller's task finishes before its thread takes another.
     for (size_t I = Begin; I < End; ++I)
       Fn(I);
     return;
   }
 
   Job J;
-  J.Body = Fn;
+  J.Body = &Fn;
   J.Pending.store(N);
 
-  // Small chunks so stealing can rebalance skewed per-index costs; each
-  // index is typically milliseconds of work, so per-task overhead is
-  // negligible even at chunk size 1.
+  // Small chunks so idle threads can rebalance skewed per-index costs.
   size_t ChunkSize = std::max<size_t>(1, N / (size_t{8} * Impl->ThreadCount));
   size_t NumChunks = (N + ChunkSize - 1) / ChunkSize;
   std::vector<Task> Chunks(NumChunks);
-  int SelfIndex = Impl->currentWorkerIndex();
-  for (size_t C = 0; C < NumChunks; ++C) {
-    Chunks[C].Parent = &J;
-    Chunks[C].Begin = Begin + C * ChunkSize;
-    Chunks[C].End = std::min(End, Chunks[C].Begin + ChunkSize);
-    Impl->submit(&Chunks[C], SelfIndex);
+  {
+    std::lock_guard<std::mutex> Lock(Impl->QueueMutex);
+    for (size_t C = 0; C < NumChunks; ++C) {
+      Chunks[C].Parent = &J;
+      Chunks[C].Begin = Begin + C * ChunkSize;
+      Chunks[C].End = std::min(End, Chunks[C].Begin + ChunkSize);
+      Impl->Queue.push_back(&Chunks[C]);
+    }
   }
   Impl->signalEvent();
 
@@ -400,43 +261,4 @@ void ThreadPool::setGlobalThreads(unsigned Threads) {
   std::lock_guard<std::mutex> Lock(GlobalPoolMutex);
   GlobalPool.reset(); // Join the old pool's workers first.
   GlobalPool = std::make_unique<ThreadPool>(Threads);
-}
-
-//===----------------------------------------------------------------------===//
-// TaskGroup
-//===----------------------------------------------------------------------===//
-
-TaskGroup::TaskGroup(ThreadPool &Pool)
-    : Group(std::make_unique<GroupImpl>(Pool)) {}
-
-void TaskGroup::spawn(std::function<void()> Fn) {
-  PoolImpl &Pool = Group->Pool;
-  if (Pool.ThreadCount == 1) {
-    Fn(); // Serial golden path: run at the spawn point.
-    return;
-  }
-  Task *T;
-  {
-    std::lock_guard<std::mutex> Lock(Group->SpawnMutex);
-    Group->Tasks.emplace_back();
-    T = &Group->Tasks.back();
-    T->Parent = &Group->TheJob;
-    T->Begin = Group->NextIndex++;
-    T->End = T->Begin + 1;
-    T->GroupFn = std::move(Fn);
-  }
-  Group->TheJob.Pending.fetch_add(1);
-  Pool.submit(T, Pool.currentWorkerIndex());
-  Pool.signalEvent();
-}
-
-void TaskGroup::wait() {
-  Group->Pool.helpUntilDone(Group->TheJob);
-  Group->Joined = true;
-  Group->TheJob.rethrowIfError();
-}
-
-TaskGroup::~TaskGroup() {
-  if (Group && !Group->Joined)
-    Group->Pool.helpUntilDone(Group->TheJob); // Join, but never throw.
 }

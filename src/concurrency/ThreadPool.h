@@ -6,19 +6,22 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The deterministic work-stealing parallel runtime. Labeling the corpus is
-/// the paper's dominant cost (a week of machine time for 2,500 loops x 8
-/// unroll factors x 30 noisy trials); this pool parallelizes that and the
-/// other embarrassingly parallel hot paths (brute-force LOOCV, the
-/// leave-one-benchmark-out speedup protocol, greedy feature selection)
-/// while keeping every result bit-identical to the serial run — see
-/// docs/CONCURRENCY.md for the determinism contract.
+/// The deterministic parallel runtime. Labeling the corpus is the paper's
+/// dominant cost (a week of machine time for 2,500 loops x 8 unroll
+/// factors x 30 noisy trials); this pool parallelizes that and the other
+/// embarrassingly parallel hot paths (brute-force LOOCV, the
+/// leave-one-benchmark-out speedup protocol, greedy feature selection,
+/// the LS-SVM's Cholesky factor) while keeping every result bit-identical
+/// to the serial run — see docs/CONCURRENCY.md for the determinism
+/// contract.
 ///
-/// Structure: one worker thread per slot beyond the caller, each owning a
-/// Chase-Lev-style deque (owner pushes/pops the bottom, thieves steal the
-/// top), an injection queue for submissions from threads outside the pool,
-/// and condition-variable parking for idle workers. Waiting threads help
-/// execute outstanding tasks, so nested parallel regions never deadlock.
+/// Structure: one worker thread per slot beyond the caller, one shared
+/// FIFO queue of index chunks, and condition-variable parking for idle
+/// workers. The thread that opens a region helps execute chunks until
+/// the region is done. Only the outermost region fans out: a region
+/// opened inside one of this pool's tasks runs as the plain serial loop
+/// on that task's thread, so the tasks in flight, and the memory they
+/// hold, are bounded by the thread count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,18 +35,15 @@
 namespace metaopt {
 
 namespace detail {
-struct Job;
 struct PoolImpl;
-struct GroupImpl;
 } // namespace detail
 
-/// A work-stealing thread pool with a fixed degree of parallelism.
+/// A thread pool with a fixed degree of parallelism.
 ///
 /// A pool constructed with thread count N owns N-1 worker threads; the
-/// thread that calls run() (or TaskGroup::wait()) participates as the Nth
-/// executor, so N is the total parallelism. N == 1 creates no threads at
-/// all and every parallel construct degrades to the plain serial loop —
-/// the golden reference path.
+/// thread that calls run() participates as the Nth executor, so N is the
+/// total parallelism. N == 1 creates no threads at all and every region
+/// degrades to the plain serial loop — the golden reference path.
 class ThreadPool {
 public:
   /// \p Threads is the total parallelism; 0 means defaultThreadCount().
@@ -58,11 +58,12 @@ public:
 
   /// Runs Fn(I) for every I in [Begin, End), distributing chunks over the
   /// pool and helping from the calling thread until all are done. With a
-  /// thread count of 1 (or a single-index range) this is the plain serial
-  /// loop. Exceptions thrown by Fn are rethrown here; when several indices
-  /// throw, the lowest index wins (matching which exception the serial
-  /// loop would have surfaced). Prefer the parallelFor/parallelMap facade
-  /// in concurrency/Parallel.h.
+  /// thread count of 1, a single-index range, or when called from inside
+  /// a task of this pool (a nested region), this is the plain serial loop
+  /// on the calling thread. Exceptions thrown by Fn are rethrown here;
+  /// when several indices throw, the lowest index wins (matching which
+  /// exception the serial loop would have surfaced). Prefer the
+  /// parallelFor/parallelMap facade in concurrency/Parallel.h.
   void run(size_t Begin, size_t End, const std::function<void(size_t)> &Fn);
 
   /// The --threads / METAOPT_THREADS / hardware-concurrency resolution:
@@ -80,34 +81,7 @@ public:
   static void setGlobalThreads(unsigned Threads);
 
 private:
-  friend class TaskGroup;
-  friend struct detail::GroupImpl;
   std::unique_ptr<detail::PoolImpl> Impl;
-};
-
-/// Structured fork-join: spawn() forks tasks into the pool, wait() joins
-/// them (helping execute outstanding work while waiting) and rethrows the
-/// first error in spawn order. On a single-thread pool each task runs
-/// inline at its spawn point, which is exactly the serial execution order.
-class TaskGroup {
-public:
-  explicit TaskGroup(ThreadPool &Pool = ThreadPool::global());
-  ~TaskGroup();
-
-  TaskGroup(const TaskGroup &) = delete;
-  TaskGroup &operator=(const TaskGroup &) = delete;
-
-  /// Forks \p Fn. Thread-safe: tasks may spawn siblings into their own
-  /// group before the join.
-  void spawn(std::function<void()> Fn);
-
-  /// Joins every spawned task. If any task threw, rethrows the exception
-  /// of the earliest-spawned failing task. May be called once; the
-  /// destructor joins (without rethrowing) if wait() was never reached.
-  void wait();
-
-private:
-  std::unique_ptr<detail::GroupImpl> Group;
 };
 
 } // namespace metaopt

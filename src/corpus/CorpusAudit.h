@@ -7,7 +7,7 @@
 ///
 /// \file
 /// Runs the lint engine (analysis/lint) over every loop of a built corpus,
-/// in parallel on the work-stealing runtime. Loops are audited by stable
+/// in parallel on the thread pool. Loops are audited by stable
 /// corpus index and the reports are concatenated in that order, so the
 /// result — and anything rendered from it — is byte-identical whatever
 /// the thread count. The metaopt-lint tool and the lint tests share this

@@ -93,9 +93,8 @@ void oracleStaticClaims(const Loop &L, uint64_t Seed,
 
 /// Trains the bundle oracle's models, once per process. The training runs
 /// parallel regions on the global pool, so callers that fan oracles out
-/// over the pool build it first: a pool task building it could otherwise
-/// steal another case while helping, re-enter oracleBundle and wait on
-/// its own initialization forever.
+/// over the pool build it first: inside a pool task those regions would
+/// run inline on one thread while the other cases wait for it.
 void prepareBundleOracle();
 
 /// The static-claims oracle's checking core: replays \p Claims (in the

@@ -11,7 +11,7 @@
 /// predictions. Requests pass through a bounded admission queue into a
 /// dispatcher that forms batches (up to MaxBatch requests, waiting at
 /// most BatchLinger for stragglers) and evaluates each batch on the
-/// work-stealing thread pool (concurrency/ThreadPool.h).
+/// thread pool (concurrency/ThreadPool.h).
 ///
 /// The contract that makes batching safe to deploy: prediction is a pure
 /// function of the request text and the loaded bundle, so the response

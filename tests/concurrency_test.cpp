@@ -3,9 +3,10 @@
 // Part of the metaopt project, a reproduction of "Predicting Unroll Factors
 // Using Supervised Classification" (Stephenson & Amarasinghe, CGO 2005).
 //
-// Exercises the work-stealing runtime: pool lifecycle, parallelFor and
-// parallelMap correctness, nesting, exception propagation, distribution
-// under skewed task sizes, TaskGroup fork-join, and — the core guarantee —
+// Exercises the parallel runtime: pool lifecycle, parallelFor and
+// parallelMap correctness, nested regions running inline, exception
+// propagation, distribution under skewed task sizes, and — the core
+// guarantee —
 // that parallel labeling produces the byte-identical dataset CSV the
 // serial run produces (SWP off and on). Runs under METAOPT_SANITIZE=thread
 // via `ctest -L concurrency`.
@@ -135,9 +136,49 @@ TEST(ParallelForTest, NestedParallelFor) {
     EXPECT_EQ(Hits[I].load(), 1) << "slot " << I;
 }
 
+TEST(ParallelForTest, NestedRegionRunsOnTheTasksThread) {
+  // Fewer outer items than threads: idle threads are free to take inner
+  // work, yet each inner region stays on its outer item's thread.
+  ThreadPool Pool(4);
+  constexpr size_t Outer = 2, Inner = 32;
+  std::vector<std::thread::id> OuterIds(Outer), InnerIds(Outer * Inner);
+  parallelFor(0, Outer, [&](size_t O) {
+    OuterIds[O] = std::this_thread::get_id();
+    parallelFor(0, Inner, [&](size_t I) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+      InnerIds[O * Inner + I] = std::this_thread::get_id();
+    }, &Pool);
+  }, &Pool);
+  for (size_t O = 0; O < Outer; ++O)
+    for (size_t I = 0; I < Inner; ++I)
+      EXPECT_EQ(InnerIds[O * Inner + I], OuterIds[O])
+          << "outer " << O << " inner " << I;
+}
+
+TEST(ParallelForTest, NestedRegionsNeverStartMoreOuterItemsThanThreads) {
+  // Each outer item holds its memory until it returns (in Figure 4, one
+  // fold's kernel matrix). If a thread waiting on a nested region took
+  // further outer items onto its stack, the items in flight, and their
+  // memory, would grow with the outer range instead of the thread count.
+  ThreadPool Pool(2);
+  std::atomic<int> InFlight{0}, MaxInFlight{0};
+  parallelFor(0, 64, [&](size_t) {
+    int Now = InFlight.fetch_add(1) + 1;
+    int Seen = MaxInFlight.load();
+    while (Now > Seen && !MaxInFlight.compare_exchange_weak(Seen, Now))
+      ;
+    parallelFor(0, 8, [&](size_t) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }, &Pool);
+    InFlight.fetch_sub(1);
+  }, &Pool);
+  EXPECT_EQ(InFlight.load(), 0);
+  EXPECT_LE(MaxInFlight.load(), 2);
+}
+
 TEST(ParallelForTest, WorkDistributionUnderSkewedTaskSizes) {
-  // One task sleeps for a long block while many short tasks remain; with
-  // stealing, other threads must pick up the short tail instead of
+  // One task sleeps for a long block while many short tasks remain; the
+  // other threads must pick up the short tail instead of
   // queuing behind the sleeper, so more than one thread executes tasks
   // and the wall clock stays far below the serial sum.
   ThreadPool Pool(4);
@@ -202,73 +243,6 @@ TEST(ParallelForTest, SerialPathThrowsNaturally) {
       }, &Pool),
       std::runtime_error);
   EXPECT_EQ(Reached, 3); // Serial semantics: later indices never run.
-}
-
-//===----------------------------------------------------------------------===//
-// TaskGroup
-//===----------------------------------------------------------------------===//
-
-TEST(TaskGroupTest, SpawnAndWait) {
-  ThreadPool Pool(4);
-  std::atomic<int> Count{0};
-  TaskGroup Group(Pool);
-  for (int I = 0; I < 100; ++I)
-    Group.spawn([&] { Count.fetch_add(1); });
-  Group.wait();
-  EXPECT_EQ(Count.load(), 100);
-}
-
-TEST(TaskGroupTest, TasksMaySpawnSiblings) {
-  ThreadPool Pool(4);
-  std::atomic<int> Count{0};
-  TaskGroup Group(Pool);
-  for (int I = 0; I < 8; ++I)
-    Group.spawn([&Group, &Count] {
-      Count.fetch_add(1);
-      Group.spawn([&Count] { Count.fetch_add(1); });
-    });
-  Group.wait();
-  EXPECT_EQ(Count.load(), 16);
-}
-
-TEST(TaskGroupTest, WaitRethrowsEarliestSpawnedError) {
-  ThreadPool Pool(4);
-  TaskGroup Group(Pool);
-  for (int I = 0; I < 32; ++I)
-    Group.spawn([I] {
-      if (I == 5 || I == 20)
-        throw std::runtime_error("task " + std::to_string(I));
-    });
-  try {
-    Group.wait();
-    FAIL() << "expected an exception";
-  } catch (const std::runtime_error &E) {
-    EXPECT_STREQ(E.what(), "task 5");
-  }
-}
-
-TEST(TaskGroupTest, DestructorJoinsWithoutWait) {
-  ThreadPool Pool(4);
-  std::atomic<int> Count{0};
-  {
-    TaskGroup Group(Pool);
-    for (int I = 0; I < 50; ++I)
-      Group.spawn([&] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        Count.fetch_add(1);
-      });
-    // No wait(): the destructor must join before Count goes out of scope.
-  }
-  EXPECT_EQ(Count.load(), 50);
-}
-
-TEST(TaskGroupTest, SingleThreadRunsAtSpawnPoint) {
-  ThreadPool Pool(1);
-  TaskGroup Group(Pool);
-  int Order = 0;
-  Group.spawn([&] { EXPECT_EQ(Order++, 0); });
-  EXPECT_EQ(Order, 1); // Already ran, before wait().
-  Group.wait();
 }
 
 //===----------------------------------------------------------------------===//

@@ -8,7 +8,7 @@
 /// \file
 /// The metaopt-lint command-line tool: runs the lint engine over textual
 /// loop files or the built-in benchmark corpus, sweeping loops in parallel
-/// on the work-stealing runtime. stdout carries only diagnostics and the
+/// on the thread pool. stdout carries only diagnostics and the
 /// summary, assembled by stable loop index, so the output is byte-identical
 /// at --threads=1 and --threads=N; timing goes to stderr. Exit status: 0
 /// when no error-severity diagnostics were produced, 1 when some were, 2

@@ -9,7 +9,7 @@
 /// The serving daemon: loads a model bundle published by metaopt-train,
 /// binds a unix-domain socket and/or a TCP port, and answers
 /// line-delimited JSON predict / health / stats requests (docs/SERVING.md)
-/// with request batching on the work-stealing pool. With --reload-poll-ms
+/// with request batching on the thread pool. With --reload-poll-ms
 /// it watches the bundle file and hot-swaps a changed model with zero
 /// downtime. SIGTERM and SIGINT trigger a graceful drain: stop accepting,
 /// answer everything in flight, then exit 0.
