@@ -30,6 +30,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <thread>
+
 using namespace metaopt;
 
 namespace {
@@ -362,6 +364,7 @@ namespace {
 /// ("classifier_microbench" experiment), rewritten into
 /// BENCH_classifiers.json for metaopt-benchcheck — e.g. the Section 5.1
 /// "< 5 ms per lookup" claim can be pinned with a max_real_ns ceiling.
+/// Each row records the host's hardware threads next to its timings.
 class JsonRowReporter : public benchmark::ConsoleReporter {
 public:
   explicit JsonRowReporter(BenchJsonWriter &Writer) : Writer(Writer) {}
@@ -378,11 +381,13 @@ public:
       std::snprintf(Row, sizeof(Row),
                     "{\"experiment\": \"classifier_microbench\", "
                     "\"benchmark\": \"%s\", \"iterations\": %lld, "
-                    "\"real_ns\": %.1f, \"cpu_ns\": %.1f}",
+                    "\"real_ns\": %.1f, \"cpu_ns\": %.1f, "
+                    "\"hw_threads\": %u}",
                     R.benchmark_name().c_str(),
                     static_cast<long long>(R.iterations),
                     1e9 * R.real_accumulated_time / Iters,
-                    1e9 * R.cpu_accumulated_time / Iters);
+                    1e9 * R.cpu_accumulated_time / Iters,
+                    std::thread::hardware_concurrency());
       Writer.row(Row);
     }
     ConsoleReporter::ReportRuns(Reports);

@@ -8,6 +8,7 @@
 #include "concurrency/ThreadPool.h"
 #include "core/ml/Kernel.h"
 #include "linalg/Cholesky.h"
+#include "linalg/CholeskyKernels.h"
 #include "linalg/Eigen.h"
 #include "linalg/Matrix.h"
 #include "support/Rng.h"
@@ -315,37 +316,47 @@ Matrix rbfSystem(size_t N, Rng &Generator) {
   return A;
 }
 
-/// Factors \p A both ways and memcmps the factor and the inverse diagonal
-/// on global pools of 1, 2 and 4 threads, then a vector solve and a
-/// three-column solve (column by column against the oracle's vector solve).
-void expectMatchesOracle(const Matrix &A, Rng &Generator) {
+/// Factors \p A with \p Kernels (the public entry points, and so the set
+/// this process picked, when null) and with the oracle, and memcmps the
+/// factor and the inverse diagonal on global pools of 1, 2 and 4 threads,
+/// then a vector solve and a three-column solve (column by column against
+/// the oracle's vector solve).
+void expectMatchesOracle(const Matrix &A, Rng &Generator,
+                         const detail::CholeskyKernels *Kernels = nullptr) {
   size_t N = A.rows();
+  auto Factor = [&] {
+    return Kernels ? detail::factorWith(A, *Kernels) : Cholesky::factor(A);
+  };
+  auto InverseDiagonal = [&](const Cholesky &F) {
+    return Kernels ? detail::inverseDiagonalWith(F, *Kernels)
+                   : F.inverseDiagonal();
+  };
   std::optional<Matrix> Expected = oracle::factor(A);
   ASSERT_TRUE(Expected.has_value());
   std::vector<double> ExpectedDiagonal = oracle::inverseDiagonal(*Expected);
   for (unsigned Threads : {1u, 2u, 4u}) {
     ThreadPool::setGlobalThreads(Threads);
-    std::optional<Cholesky> Factor = Cholesky::factor(A);
+    std::optional<Cholesky> Factored = Factor();
     std::vector<double> Diagonal;
-    if (Factor)
-      Diagonal = Factor->inverseDiagonal();
+    if (Factored)
+      Diagonal = InverseDiagonal(*Factored);
     ThreadPool::setGlobalThreads(0); // Restore the default pool.
-    ASSERT_TRUE(Factor.has_value()) << Threads << " threads";
-    EXPECT_TRUE(sameBits(Factor->factorMatrix(), *Expected))
+    ASSERT_TRUE(Factored.has_value()) << Threads << " threads";
+    EXPECT_TRUE(sameBits(Factored->factorMatrix(), *Expected))
         << Threads << " threads";
     EXPECT_TRUE(sameBits(Diagonal, ExpectedDiagonal)) << Threads << " threads";
   }
 
-  std::optional<Cholesky> Factor = Cholesky::factor(A);
-  ASSERT_TRUE(Factor.has_value());
+  std::optional<Cholesky> Factored = Factor();
+  ASSERT_TRUE(Factored.has_value());
   std::vector<double> B = randomVector(N, Generator);
-  EXPECT_TRUE(sameBits(Factor->solve(B), oracle::solve(*Expected, B)));
+  EXPECT_TRUE(sameBits(Factored->solve(B), oracle::solve(*Expected, B)));
 
   Matrix Rhs(N, 3);
   for (size_t I = 0; I < N; ++I)
     for (size_t C = 0; C < 3; ++C)
       Rhs.at(I, C) = Generator.nextGaussian();
-  Matrix X = Factor->solve(Rhs);
+  Matrix X = Factored->solve(Rhs);
   for (size_t C = 0; C < 3; ++C) {
     std::vector<double> Column(N), Solved(N);
     for (size_t I = 0; I < N; ++I) {
@@ -357,11 +368,33 @@ void expectMatchesOracle(const Matrix &A, Rng &Generator) {
   }
 }
 
+/// Both test systems of order \p N through one kernel set.
+void expectKernelsMatchOracle(size_t N,
+                              const detail::CholeskyKernels &Kernels) {
+  Rng Generator(500 + N);
+  {
+    SCOPED_TRACE("diagonally dominant");
+    expectMatchesOracle(dominantSpd(N, Generator), Generator, &Kernels);
+  }
+  {
+    SCOPED_TRACE("RBF kernel system");
+    expectMatchesOracle(rbfSystem(N, Generator), Generator, &Kernels);
+  }
+}
+
 } // namespace
 
 /// Orders around the register tile (4), the old (32) and current (64)
 /// block widths and two blocks, a multi-block order that leaves ragged
-/// tiles, and the Figure 4 fit size.
+/// tiles, and the Figure 4 fit size. Below 64 there is one block and no
+/// trailing update; 5 to 9 give the inverse's first column group a lone
+/// row past its head, then one pair, a pair and a lone row, and so on,
+/// and all but 8 a last group of fewer than 4 columns. Past one block,
+/// the first pass has ceil((N - 64) / 4) trailing strips: 1 at 65 and 67,
+/// 2 at 71 and 72, 3 at 76 and 17 at 129; 65, 67, 71 and 129 end in a
+/// ragged strip. Strip SI updates SI + 1 tiles, which the AVX2 kernel
+/// takes two column strips at a time, so every even SI ends on a lone
+/// diagonal tile.
 class CholeskyBitIdentity : public ::testing::TestWithParam<int> {};
 
 TEST_P(CholeskyBitIdentity, RandomSpdMatchesOracle) {
@@ -376,9 +409,23 @@ TEST_P(CholeskyBitIdentity, RbfKernelSystemMatchesOracle) {
                       Generator);
 }
 
+TEST_P(CholeskyBitIdentity, ScalarKernelsMatchOracle) {
+  expectKernelsMatchOracle(static_cast<size_t>(GetParam()),
+                           detail::scalarCholeskyKernels());
+}
+
+TEST_P(CholeskyBitIdentity, Avx2KernelsMatchOracle) {
+  const detail::CholeskyKernels *Avx2 = detail::avx2CholeskyKernels();
+  if (!Avx2)
+    GTEST_SKIP() << "AVX2 Cholesky kernels not available: the build is not "
+                    "for x86 with GCC or Clang, or the CPU has no AVX2";
+  expectKernelsMatchOracle(static_cast<size_t>(GetParam()), *Avx2);
+}
+
 INSTANTIATE_TEST_SUITE_P(Orders, CholeskyBitIdentity,
-                         ::testing::Values(1, 2, 3, 31, 32, 33, 63, 64, 65,
-                                           67, 127, 128, 129, 257, 1000));
+                         ::testing::Values(1, 2, 3, 5, 6, 7, 8, 9, 31, 32, 33,
+                                           63, 64, 65, 67, 71, 72, 76, 127,
+                                           128, 129, 257, 1000));
 
 TEST(CholeskyTest, RejectsIndefinitePivotInSecondBlockLikeOracle) {
   Rng Generator(8);
