@@ -18,6 +18,7 @@
 #include "cache/SimCache.h"
 #include "core/driver/Pipeline.h"
 #include "core/features/FeatureExtractor.h"
+#include "core/ml/DecisionTree.h"
 #include "core/ml/Forest.h"
 #include "core/ml/Lsh.h"
 #include "core/ml/Mlp.h"
@@ -165,8 +166,9 @@ BENCHMARK(BM_SvmTrain)
 
 namespace {
 
-/// The kernel system the SVM fit builds on \p N examples: the Figure 4
-/// fit size is 1000 and the perfbench pipeline fit size 2400.
+/// The kernel system the SVM fit builds on \p N examples (its lower
+/// triangle, all the factor reads): the Figure 4 fit size is 1000 and the
+/// perfbench pipeline fit size 2400.
 Matrix svmKernelSystem(size_t N) {
   Dataset Data = inflatedDataset(N);
   FeatureSet Features = paperReducedFeatureSet();
@@ -265,6 +267,25 @@ static void BM_MlpPredict(benchmark::State &State) {
     benchmark::DoNotOptimize(Mlp.predict(Query));
 }
 BENCHMARK(BM_MlpPredict)->Unit(benchmark::kMicrosecond);
+
+/// One CART tree, the forest's building block and the decision-tree
+/// family's fit: a (value, index) sort per dimension, then the split
+/// sweeps.
+static void BM_DecisionTreeTrain(benchmark::State &State) {
+  Dataset Data = inflatedDataset(static_cast<size_t>(State.range(0)));
+  for (auto _ : State) {
+    DecisionTreeClassifier Tree(paperReducedFeatureSet());
+    Tree.train(Data);
+    benchmark::DoNotOptimize(Tree.numNodes());
+  }
+  State.SetComplexityN(State.range(0));
+}
+BENCHMARK(BM_DecisionTreeTrain)
+    ->Arg(250)
+    ->Arg(500)
+    ->Arg(1000)
+    ->Unit(benchmark::kMillisecond)
+    ->Complexity(benchmark::oNLogN);
 
 /// Model-zoo random forest: 16 seeded bootstrap CART trees.
 static void BM_ForestTrain(benchmark::State &State) {

@@ -22,16 +22,6 @@ std::string DecisionTreeClassifier::name() const { return "decision-tree"; }
 
 namespace {
 
-/// Class counts over a subset of examples.
-std::array<unsigned, MaxUnrollFactor>
-countLabels(const std::vector<unsigned> &Labels,
-            const std::vector<uint32_t> &Indices) {
-  std::array<unsigned, MaxUnrollFactor> Counts = {};
-  for (uint32_t Index : Indices)
-    ++Counts[Labels[Index] - 1];
-  return Counts;
-}
-
 unsigned majority(const std::array<unsigned, MaxUnrollFactor> &Counts) {
   unsigned Best = 0;
   for (unsigned Class = 1; Class < MaxUnrollFactor; ++Class)
@@ -63,53 +53,71 @@ double gini(const std::array<unsigned, MaxUnrollFactor> &Counts,
 
 } // namespace
 
-int32_t DecisionTreeClassifier::grow(
-    const std::vector<std::vector<double>> &Points,
-    const std::vector<unsigned> &Labels, std::vector<uint32_t> Indices,
-    unsigned Depth) {
+/// The split search sweeps each dimension's examples in (value, index)
+/// order. Sorting every dimension once per tree and then partitioning the
+/// sorted lists stably into the children gives each node exactly the
+/// order a sort of its own examples would: a stable partition keeps the
+/// relative order, and (value, index) is a total order on distinct
+/// indices (a forest's bootstrap copies are distinct examples).
+struct DecisionTreeClassifier::Grower {
+  size_t NumPoints = 0;
+  size_t Dims = 0;
+  /// Values[Dim * NumPoints + I]: dimension Dim of example I.
+  std::vector<double> Values;
+  std::vector<unsigned> Labels;
+  /// Sorted[Dim * NumPoints + P]: the example at position P of dimension
+  /// Dim's list; a node owns the same position range in every list.
+  std::vector<uint32_t> Sorted;
+  /// Per example: does the split being applied send it left?
+  std::vector<char> GoesLeft;
+  /// Holds a list's right-hand examples during a partition.
+  std::vector<uint32_t> Scratch;
+
+  const double *column(size_t Dim) const { return &Values[Dim * NumPoints]; }
+  uint32_t *list(size_t Dim) { return &Sorted[Dim * NumPoints]; }
+};
+
+int32_t DecisionTreeClassifier::grow(Grower &G, size_t Begin, size_t End,
+                                     unsigned Depth) {
+  size_t Size = End - Begin;
   Node Current;
   Current.Depth = Depth;
-  auto Counts = countLabels(Labels, Indices);
+  std::array<unsigned, MaxUnrollFactor> Counts = {};
+  for (size_t Position = Begin; Position < End; ++Position)
+    ++Counts[G.Labels[G.list(0)[Position]] - 1];
   Current.Label = majority(Counts);
 
   bool MustStop = Depth >= Options.MaxDepth ||
-                  Indices.size() < 2 * Options.MinLeafSize ||
-                  purity(Counts, Indices.size()) >=
-                      Options.PurityThreshold;
+                  Size < 2 * Options.MinLeafSize ||
+                  purity(Counts, Size) >= Options.PurityThreshold;
 
   unsigned BestDim = 0;
   double BestThreshold = 0.0;
   double BestImpurity = 1e300;
   if (!MustStop) {
-    size_t Dims = Points[0].size();
-    std::vector<uint32_t> Sorted = Indices;
-    for (unsigned Dim = 0; Dim < Dims; ++Dim) {
-      std::sort(Sorted.begin(), Sorted.end(),
-                [&](uint32_t A, uint32_t B) {
-                  if (Points[A][Dim] != Points[B][Dim])
-                    return Points[A][Dim] < Points[B][Dim];
-                  return A < B;
-                });
+    for (unsigned Dim = 0; Dim < G.Dims; ++Dim) {
+      const uint32_t *Sorted = G.list(Dim) + Begin;
+      const double *Column = G.column(Dim);
       // Sweep split positions, maintaining left/right counts.
       std::array<unsigned, MaxUnrollFactor> LeftCounts = {};
       std::array<unsigned, MaxUnrollFactor> RightCounts = Counts;
-      for (size_t Position = 0; Position + 1 < Sorted.size(); ++Position) {
-        unsigned Class = Labels[Sorted[Position]] - 1;
+      for (size_t Position = 0; Position + 1 < Size; ++Position) {
+        unsigned Class = G.Labels[Sorted[Position]] - 1;
         ++LeftCounts[Class];
         --RightCounts[Class];
-        double Here = Points[Sorted[Position]][Dim];
-        double Next = Points[Sorted[Position + 1]][Dim];
+        double Here = Column[Sorted[Position]];
+        double Next = Column[Sorted[Position + 1]];
         if (Here == Next)
           continue; // Cannot split between equal values.
         size_t LeftSize = Position + 1;
-        size_t RightSize = Sorted.size() - LeftSize;
+        size_t RightSize = Size - LeftSize;
         if (LeftSize < Options.MinLeafSize ||
             RightSize < Options.MinLeafSize)
           continue;
         double Weighted =
             (LeftSize * gini(LeftCounts, LeftSize) +
              RightSize * gini(RightCounts, RightSize)) /
-            Sorted.size();
+            Size;
         if (Weighted < BestImpurity) {
           BestImpurity = Weighted;
           BestDim = Dim;
@@ -118,7 +126,7 @@ int32_t DecisionTreeClassifier::grow(
       }
     }
     // Require an actual improvement over the parent.
-    if (BestImpurity >= gini(Counts, Indices.size()) - 1e-12)
+    if (BestImpurity >= gini(Counts, Size) - 1e-12)
       MustStop = true;
   }
 
@@ -127,22 +135,33 @@ int32_t DecisionTreeClassifier::grow(
   if (MustStop)
     return Self;
 
-  std::vector<uint32_t> LeftIndices, RightIndices;
-  for (uint32_t Index : Indices) {
-    if (Points[Index][BestDim] <= BestThreshold)
-      LeftIndices.push_back(Index);
-    else
-      RightIndices.push_back(Index);
+  const double *SplitColumn = G.column(BestDim);
+  size_t LeftSize = 0;
+  for (size_t Position = Begin; Position < End; ++Position) {
+    uint32_t Index = G.list(0)[Position];
+    G.GoesLeft[Index] = SplitColumn[Index] <= BestThreshold;
+    LeftSize += G.GoesLeft[Index];
   }
-  assert(!LeftIndices.empty() && !RightIndices.empty() &&
-         "split produced an empty side");
+  assert(LeftSize > 0 && LeftSize < Size && "split produced an empty side");
+  for (unsigned Dim = 0; Dim < G.Dims; ++Dim) {
+    uint32_t *List = G.list(Dim);
+    size_t Left = Begin, Right = 0;
+    for (size_t Position = Begin; Position < End; ++Position) {
+      uint32_t Index = List[Position];
+      if (G.GoesLeft[Index])
+        List[Left++] = Index;
+      else
+        G.Scratch[Right++] = Index;
+    }
+    std::copy_n(G.Scratch.begin(), Right, List + Left);
+  }
 
   Nodes[Self].IsLeaf = false;
   Nodes[Self].SplitDim = BestDim;
   Nodes[Self].Threshold = BestThreshold;
-  int32_t Left = grow(Points, Labels, std::move(LeftIndices), Depth + 1);
+  int32_t Left = grow(G, Begin, Begin + LeftSize, Depth + 1);
   Nodes[Self].Left = Left;
-  int32_t Right = grow(Points, Labels, std::move(RightIndices), Depth + 1);
+  int32_t Right = grow(G, Begin + LeftSize, End, Depth + 1);
   Nodes[Self].Right = Right;
   return Self;
 }
@@ -150,19 +169,33 @@ int32_t DecisionTreeClassifier::grow(
 void DecisionTreeClassifier::train(const Dataset &Train) {
   assert(!Train.empty() && "cannot train on an empty dataset");
   Norm.fit(Train.featureMatrix(), Features);
-  std::vector<std::vector<double>> Points;
-  std::vector<unsigned> Labels;
-  Points.reserve(Train.size());
-  Labels.reserve(Train.size());
-  for (const Example &Ex : Train.examples()) {
-    Points.push_back(Norm.apply(Ex.Features));
-    Labels.push_back(Ex.Label);
+  Grower G;
+  G.NumPoints = Train.size();
+  G.Dims = Norm.dimension();
+  G.Values.resize(G.Dims * G.NumPoints);
+  G.Labels.reserve(G.NumPoints);
+  for (size_t I = 0; I < G.NumPoints; ++I) {
+    std::vector<double> Point = Norm.apply(Train[I].Features);
+    for (size_t Dim = 0; Dim < G.Dims; ++Dim)
+      G.Values[Dim * G.NumPoints + I] = Point[Dim];
+    G.Labels.push_back(Train[I].Label);
   }
+  G.Sorted.resize(G.Dims * G.NumPoints);
+  for (size_t Dim = 0; Dim < G.Dims; ++Dim) {
+    uint32_t *List = G.list(Dim);
+    for (uint32_t I = 0; I < G.NumPoints; ++I)
+      List[I] = I;
+    const double *Column = G.column(Dim);
+    std::sort(List, List + G.NumPoints, [&](uint32_t A, uint32_t B) {
+      if (Column[A] != Column[B])
+        return Column[A] < Column[B];
+      return A < B;
+    });
+  }
+  G.GoesLeft.resize(G.NumPoints);
+  G.Scratch.resize(G.NumPoints);
   Nodes.clear();
-  std::vector<uint32_t> All(Train.size());
-  for (uint32_t I = 0; I < Train.size(); ++I)
-    All[I] = I;
-  Root = grow(Points, Labels, std::move(All), 0);
+  Root = grow(G, 0, G.NumPoints, 0);
 }
 
 unsigned DecisionTreeClassifier::predict(

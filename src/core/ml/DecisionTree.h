@@ -66,9 +66,13 @@ private:
     unsigned Depth = 0;
   };
 
-  int32_t grow(const std::vector<std::vector<double>> &Points,
-               const std::vector<unsigned> &Labels,
-               std::vector<uint32_t> Indices, unsigned Depth);
+  /// Per-fit sweep state: every dimension's example order and the
+  /// normalized values, defined in DecisionTree.cpp.
+  struct Grower;
+
+  /// Grows the subtree over the examples at positions [Begin, End) of
+  /// every dimension's sorted list and returns its root node.
+  int32_t grow(Grower &G, size_t Begin, size_t End, unsigned Depth);
 
   FeatureSet Features;
   DecisionTreeOptions Options;

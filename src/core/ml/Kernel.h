@@ -35,7 +35,11 @@ private:
   double SigmaSquared;
 };
 
-/// Full Gram matrix over \p Points (symmetric, unit diagonal for RBF).
+/// The Gram matrix over \p Points as Cholesky::factor reads it: the unit
+/// diagonal and the lower triangle, entry (I, J < I) bit-identical to
+/// Kernel(Points[J], Points[I]). The upper triangle is left zero. Rows
+/// are split over the global pool; inside a task of that pool they run
+/// inline.
 Matrix kernelMatrix(const RbfKernel &Kernel,
                     const std::vector<std::vector<double>> &Points);
 

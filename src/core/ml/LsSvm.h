@@ -54,8 +54,8 @@ struct LsSvmBinary {
 class LsSvmSolver {
 public:
   /// Factors A = K + I/gamma over \p Points. Returns std::nullopt when the
-  /// system is not positive definite (cannot happen for gamma > 0 and a
-  /// valid kernel, but guarded anyway). When \p Machines is given, the
+  /// system is not positive definite (for gamma > 0 only a non-finite
+  /// point makes it so). When \p Machines is given, the
   /// bordered system is also solved for every label vector in \p Labels,
   /// in the same sweep over the factor that computes A^{-1} 1, and the
   /// results replace *Machines in order; each equals solve(Labels[b]).

@@ -82,118 +82,196 @@ void MlpClassifier::initializeWeights() {
   }
 }
 
-std::vector<Matrix> MlpClassifier::forward(const Matrix &Batch,
-                                           Matrix &Probs) const {
-  // Inputs[l] is what layer l consumes: Inputs[0] is the batch itself,
-  // Inputs[l>0] the ReLU activations of layer l-1.
-  std::vector<Matrix> Inputs;
-  Inputs.reserve(Weights.size());
-  Inputs.push_back(Batch);
-  for (size_t Layer = 0; Layer < Weights.size(); ++Layer) {
-    Matrix Z = Inputs.back().multiply(Weights[Layer].transpose());
-    for (size_t Row = 0; Row < Z.rows(); ++Row) {
-      double *RowPtr = Z.rowPtr(Row);
-      for (size_t Col = 0; Col < Z.cols(); ++Col)
-        RowPtr[Col] += Biases[Layer][Col];
+struct MlpClassifier::Workspace {
+  /// Acts[L] is the input of layer L, Rows x fan-in: the batch itself for
+  /// L = 0, the ReLU activations of layer L - 1 after that.
+  std::vector<std::vector<double>> Acts;
+  /// Rows x MaxUnrollFactor softmax probabilities.
+  std::vector<double> Probs;
+  /// dLoss/dZ of the layer being differentiated and of the one below it,
+  /// Rows x the widest layer.
+  std::vector<double> Delta, Upstream;
+  /// Gradients in the shapes of Weights and Biases.
+  std::vector<std::vector<double>> WeightGrads, BiasGrads;
+
+  Workspace(const std::vector<Matrix> &Weights, size_t Capacity,
+            bool WithGradients) {
+    size_t Widest = 0;
+    for (const Matrix &W : Weights) {
+      Acts.emplace_back(Capacity * W.cols());
+      Widest = std::max({Widest, W.rows(), W.cols()});
     }
-    if (Layer + 1 == Weights.size()) {
-      // Row-wise stable softmax.
-      Probs = std::move(Z);
-      for (size_t Row = 0; Row < Probs.rows(); ++Row) {
-        double *RowPtr = Probs.rowPtr(Row);
-        double Max = RowPtr[0];
-        for (size_t Col = 1; Col < Probs.cols(); ++Col)
-          Max = std::max(Max, RowPtr[Col]);
-        double Sum = 0.0;
-        for (size_t Col = 0; Col < Probs.cols(); ++Col) {
-          RowPtr[Col] = std::exp(RowPtr[Col] - Max);
-          Sum += RowPtr[Col];
-        }
-        for (size_t Col = 0; Col < Probs.cols(); ++Col)
-          RowPtr[Col] /= Sum;
-      }
-    } else {
-      for (size_t Row = 0; Row < Z.rows(); ++Row) {
-        double *RowPtr = Z.rowPtr(Row);
-        for (size_t Col = 0; Col < Z.cols(); ++Col)
-          RowPtr[Col] = std::max(0.0, RowPtr[Col]);
-      }
-      Inputs.push_back(std::move(Z));
+    Probs.resize(Capacity * MaxUnrollFactor);
+    if (!WithGradients)
+      return;
+    Delta.resize(Capacity * Widest);
+    Upstream.resize(Capacity * Widest);
+    for (const Matrix &W : Weights) {
+      WeightGrads.emplace_back(W.rows() * W.cols());
+      BiasGrads.emplace_back(W.rows());
     }
   }
-  return Inputs;
+};
+
+namespace {
+
+/// One Rows x Cols tile of product(), its sums held in registers.
+template <size_t Rows, size_t Cols>
+void productTile(const double *A, size_t AI, size_t AT, const double *B,
+                 size_t BT, size_t BK, size_t Depth, double *Out,
+                 size_t OutStride) {
+  double Sum[Rows][Cols] = {};
+  for (size_t T = 0; T < Depth; ++T) {
+    double BValue[Cols];
+    for (size_t K = 0; K < Cols; ++K)
+      BValue[K] = B[T * BT + K * BK];
+    for (size_t I = 0; I < Rows; ++I) {
+      double AValue = A[I * AI + T * AT];
+      for (size_t K = 0; K < Cols; ++K)
+        Sum[I][K] += AValue * BValue[K];
+    }
+  }
+  for (size_t I = 0; I < Rows; ++I)
+    for (size_t K = 0; K < Cols; ++K)
+      Out[I * OutStride + K] = Sum[I][K];
 }
 
-double MlpClassifier::lossAndGradient(
-    const std::vector<std::vector<double>> &Points,
-    const std::vector<unsigned> &Labels, std::vector<Matrix> *WeightGrads,
-    std::vector<std::vector<double>> *BiasGrads) const {
-  assert(!Points.empty() && Points.size() == Labels.size());
-  size_t BatchRows = Points.size();
-  Matrix Batch(BatchRows, Norm.dimension());
-  for (size_t Row = 0; Row < BatchRows; ++Row)
-    std::copy(Points[Row].begin(), Points[Row].end(), Batch.rowPtr(Row));
-
-  Matrix Probs;
-  std::vector<Matrix> Inputs = forward(Batch, Probs);
-
-  double Loss = 0.0;
-  for (size_t Row = 0; Row < BatchRows; ++Row)
-    Loss -= std::log(std::max(Probs.at(Row, Labels[Row] - 1), 1e-300));
-  Loss /= BatchRows;
-  for (const Matrix &W : Weights) {
-    double SumSquares = 0.0;
-    for (size_t Row = 0; Row < W.rows(); ++Row) {
-      const double *RowPtr = W.rowPtr(Row);
-      for (size_t Col = 0; Col < W.cols(); ++Col)
-        SumSquares += RowPtr[Col] * RowPtr[Col];
-    }
-    Loss += 0.5 * Options.WeightDecay * SumSquares;
+/// \p Rows rows of product(), in tiles of 4, 2 and 1 columns.
+template <size_t Rows>
+void productRows(const double *A, size_t AI, size_t AT, const double *B,
+                 size_t BT, size_t BK, size_t Cols, size_t Depth,
+                 double *Out) {
+  size_t K = 0;
+  for (; K + 4 <= Cols; K += 4)
+    productTile<Rows, 4>(A, AI, AT, B + K * BK, BT, BK, Depth, Out + K, Cols);
+  if (K + 2 <= Cols) {
+    productTile<Rows, 2>(A, AI, AT, B + K * BK, BT, BK, Depth, Out + K, Cols);
+    K += 2;
   }
-  if (!WeightGrads)
-    return Loss;
+  if (K < Cols)
+    productTile<Rows, 1>(A, AI, AT, B + K * BK, BT, BK, Depth, Out + K, Cols);
+}
 
-  WeightGrads->assign(Weights.size(), Matrix());
-  BiasGrads->assign(Weights.size(), {});
+/// Out[I][K] (Rows x Cols, row-major) = the sum over T < Depth of
+/// A[I * AI + T * AT] * B[T * BT + K * BK]: one sum per entry, from +0.0,
+/// one multiply and one add per T in increasing T; the strides pick which
+/// of the MLP's three products (X Wᵀ forward, Δᵀ X for the weight
+/// gradient, Δ W for the upstream delta) this is. 2 x 4 tiles keep eight
+/// independent sums in registers.
+///
+/// The sums are dense, where the Matrix::multiply this replaced skipped
+/// every term whose left factor was ±0. For finite values the bits are the
+/// same: every accumulator starts at +0.0, and in round-to-nearest a sum
+/// is −0 only when both addends are −0, so an accumulator is never −0,
+/// and adding the ±0 that a skipped term would give leaves it unchanged.
+void product(const double *A, size_t AI, size_t AT, const double *B,
+             size_t BT, size_t BK, size_t Rows, size_t Cols, size_t Depth,
+             double *Out) {
+  for (size_t I = 0; I < Rows; I += 2) {
+    if (I + 2 <= Rows)
+      productRows<2>(A + I * AI, AI, AT, B, BT, BK, Cols, Depth,
+                     Out + I * Cols);
+    else
+      productRows<1>(A + I * AI, AI, AT, B, BT, BK, Cols, Depth,
+                     Out + I * Cols);
+  }
+}
+
+} // namespace
+
+void MlpClassifier::forward(Workspace &Ws, size_t Rows) const {
+  for (size_t Layer = 0; Layer < Weights.size(); ++Layer) {
+    bool IsLast = Layer + 1 == Weights.size();
+    size_t FanIn = Weights[Layer].cols(), FanOut = Weights[Layer].rows();
+    double *Z = IsLast ? Ws.Probs.data() : Ws.Acts[Layer + 1].data();
+    // Z = X Wᵀ: entry (row, out) sums X[row][k] * W[out][k] over k.
+    product(Ws.Acts[Layer].data(), FanIn, 1, Weights[Layer].rowPtr(0), 1,
+            FanIn, Rows, FanOut, FanIn, Z);
+    const double *Bias = Biases[Layer].data();
+    for (size_t Row = 0; Row < Rows; ++Row) {
+      double *RowPtr = Z + Row * FanOut;
+      for (size_t Col = 0; Col < FanOut; ++Col)
+        RowPtr[Col] += Bias[Col];
+      if (!IsLast) {
+        for (size_t Col = 0; Col < FanOut; ++Col)
+          RowPtr[Col] = std::max(0.0, RowPtr[Col]);
+        continue;
+      }
+      // Row-wise stable softmax.
+      double Max = RowPtr[0];
+      for (size_t Col = 1; Col < FanOut; ++Col)
+        Max = std::max(Max, RowPtr[Col]);
+      double Sum = 0.0;
+      for (size_t Col = 0; Col < FanOut; ++Col) {
+        RowPtr[Col] = std::exp(RowPtr[Col] - Max);
+        Sum += RowPtr[Col];
+      }
+      for (size_t Col = 0; Col < FanOut; ++Col)
+        RowPtr[Col] /= Sum;
+    }
+  }
+}
+
+void MlpClassifier::backward(Workspace &Ws, size_t Rows,
+                             const unsigned *Labels) const {
   // dLoss/dZ for the softmax layer is (P - onehot) / batch.
-  Matrix Delta = std::move(Probs);
-  for (size_t Row = 0; Row < BatchRows; ++Row) {
-    double *RowPtr = Delta.rowPtr(Row);
+  double *Delta = Ws.Delta.data();
+  std::copy_n(Ws.Probs.data(), Rows * MaxUnrollFactor, Delta);
+  for (size_t Row = 0; Row < Rows; ++Row) {
+    double *RowPtr = Delta + Row * MaxUnrollFactor;
     RowPtr[Labels[Row] - 1] -= 1.0;
-    for (size_t Col = 0; Col < Delta.cols(); ++Col)
-      RowPtr[Col] /= BatchRows;
+    for (size_t Col = 0; Col < MaxUnrollFactor; ++Col)
+      RowPtr[Col] /= Rows;
   }
   for (size_t Layer = Weights.size(); Layer-- > 0;) {
-    Matrix Grad = Delta.transpose().multiply(Inputs[Layer]);
-    for (size_t Row = 0; Row < Grad.rows(); ++Row) {
-      double *GradRow = Grad.rowPtr(Row);
-      const double *WRow = Weights[Layer].rowPtr(Row);
-      for (size_t Col = 0; Col < Grad.cols(); ++Col)
+    const Matrix &W = Weights[Layer];
+    size_t FanIn = W.cols(), FanOut = W.rows();
+    const double *In = Ws.Acts[Layer].data();
+    // Weight gradient Δᵀ X, entry (out, k) summing Δ[row][out] *
+    // X[row][k] over rows, plus the decay term.
+    double *Grad = Ws.WeightGrads[Layer].data();
+    product(Delta, 1, FanOut, In, FanIn, 1, FanOut, FanIn, Rows, Grad);
+    for (size_t Out = 0; Out < FanOut; ++Out) {
+      double *GradRow = Grad + Out * FanIn;
+      const double *WRow = W.rowPtr(Out);
+      for (size_t Col = 0; Col < FanIn; ++Col)
         GradRow[Col] += Options.WeightDecay * WRow[Col];
     }
-    (*WeightGrads)[Layer] = std::move(Grad);
-    std::vector<double> BiasGrad(Delta.cols(), 0.0);
-    for (size_t Row = 0; Row < Delta.rows(); ++Row) {
-      const double *RowPtr = Delta.rowPtr(Row);
-      for (size_t Col = 0; Col < Delta.cols(); ++Col)
+    double *BiasGrad = Ws.BiasGrads[Layer].data();
+    std::fill_n(BiasGrad, FanOut, 0.0);
+    for (size_t Row = 0; Row < Rows; ++Row) {
+      const double *RowPtr = Delta + Row * FanOut;
+      for (size_t Col = 0; Col < FanOut; ++Col)
         BiasGrad[Col] += RowPtr[Col];
     }
-    (*BiasGrads)[Layer] = std::move(BiasGrad);
     if (Layer == 0)
       break;
-    // Propagate through the weights, then gate by the ReLU mask of the
-    // previous layer's activations (Inputs[Layer] > 0 iff its Z was > 0).
-    Matrix Upstream = Delta.multiply(Weights[Layer]);
-    for (size_t Row = 0; Row < Upstream.rows(); ++Row) {
-      double *UpRow = Upstream.rowPtr(Row);
-      const double *ActRow = Inputs[Layer].rowPtr(Row);
-      for (size_t Col = 0; Col < Upstream.cols(); ++Col)
-        if (ActRow[Col] <= 0.0)
-          UpRow[Col] = 0.0;
-    }
-    Delta = std::move(Upstream);
+    // Propagate through the weights (Δ W, entry (row, k) summing
+    // Δ[row][out] * W[out][k] over outputs), then gate by the ReLU mask
+    // of this layer's input (In > 0 iff the previous layer's Z was > 0).
+    double *Up = Ws.Upstream.data();
+    product(Delta, FanOut, 1, W.rowPtr(0), FanIn, 1, Rows, FanIn, FanOut, Up);
+    for (size_t I = 0; I < Rows * FanIn; ++I)
+      if (In[I] <= 0.0)
+        Up[I] = 0.0;
+    std::swap(Ws.Delta, Ws.Upstream);
+    Delta = Ws.Delta.data();
   }
-  return Loss;
+}
+
+MlpClassifier::Workspace
+MlpClassifier::fullBatch(const Dataset &Data, std::vector<unsigned> &Labels,
+                         bool WithGradients) const {
+  assert(!Data.empty() && "the loss needs at least one example");
+  Workspace Ws(Weights, Data.size(), WithGradients);
+  Labels.clear();
+  double *Row = Ws.Acts[0].data();
+  for (const Example &Ex : Data.examples()) {
+    std::vector<double> Point = Norm.apply(Ex.Features);
+    Row = std::copy(Point.begin(), Point.end(), Row);
+    Labels.push_back(Ex.Label);
+  }
+  return Ws;
 }
 
 void MlpClassifier::train(const Dataset &Train) {
@@ -201,74 +279,71 @@ void MlpClassifier::train(const Dataset &Train) {
   Norm.fit(Train.featureMatrix(), Features);
   initializeWeights();
 
-  std::vector<std::vector<double>> Points;
+  size_t Dim = Norm.dimension();
+  Matrix Points(Train.size(), Dim);
   std::vector<unsigned> Labels;
-  Points.reserve(Train.size());
   Labels.reserve(Train.size());
-  for (const Example &Ex : Train.examples()) {
-    Points.push_back(Norm.apply(Ex.Features));
-    Labels.push_back(Ex.Label);
+  for (size_t I = 0; I < Train.size(); ++I) {
+    std::vector<double> Point = Norm.apply(Train[I].Features);
+    std::copy(Point.begin(), Point.end(), Points.rowPtr(I));
+    Labels.push_back(Train[I].Label);
   }
 
-  std::vector<double> Params = parameters();
-  std::vector<double> FirstMoment(Params.size(), 0.0);
-  std::vector<double> SecondMoment(Params.size(), 0.0);
+  size_t BatchSize = std::min<size_t>(Options.BatchSize, Train.size());
+  Workspace Ws(Weights, BatchSize, /*WithGradients=*/true);
+  std::vector<unsigned> BatchLabels(BatchSize);
+  size_t NumParams = 0;
+  for (size_t Layer = 0; Layer < Weights.size(); ++Layer)
+    NumParams += Ws.WeightGrads[Layer].size() + Ws.BiasGrads[Layer].size();
+  std::vector<double> FirstMoment(NumParams, 0.0);
+  std::vector<double> SecondMoment(NumParams, 0.0);
   uint64_t Step = 0;
 
-  std::vector<uint32_t> Order(Points.size());
-  for (uint32_t I = 0; I < Points.size(); ++I)
+  std::vector<uint32_t> Order(Train.size());
+  for (uint32_t I = 0; I < Order.size(); ++I)
     Order[I] = I;
 
-  std::vector<std::vector<double>> BatchPoints;
-  std::vector<unsigned> BatchLabels;
-  std::vector<Matrix> WeightGrads;
-  std::vector<std::vector<double>> BiasGrads;
   for (unsigned Epoch = 0; Epoch < Options.Epochs; ++Epoch) {
     // One decorrelated stream per epoch keyed by the stable epoch index:
     // the visit order never depends on thread count or prior epochs.
     Rng Shuffler = Rng::splitStream(Options.Seed, 1 + Epoch);
     Shuffler.shuffle(Order);
-    for (size_t Begin = 0; Begin < Order.size();
-         Begin += Options.BatchSize) {
-      size_t End = std::min(Order.size(),
-                            Begin + static_cast<size_t>(Options.BatchSize));
-      BatchPoints.clear();
-      BatchLabels.clear();
-      for (size_t I = Begin; I < End; ++I) {
-        BatchPoints.push_back(Points[Order[I]]);
-        BatchLabels.push_back(Labels[Order[I]]);
+    for (size_t Begin = 0; Begin < Order.size(); Begin += BatchSize) {
+      size_t Rows = std::min(Order.size() - Begin, BatchSize);
+      double *BatchRow = Ws.Acts[0].data();
+      for (size_t I = 0; I < Rows; ++I) {
+        const double *Point = Points.rowPtr(Order[Begin + I]);
+        BatchRow = std::copy(Point, Point + Dim, BatchRow);
+        BatchLabels[I] = Labels[Order[Begin + I]];
       }
-      lossAndGradient(BatchPoints, BatchLabels, &WeightGrads, &BiasGrads);
+      forward(Ws, Rows);
+      backward(Ws, Rows, BatchLabels.data());
 
-      // Flatten the gradients in parameters() order and take one Adam
-      // step with bias correction.
-      size_t Offset = 0;
+      // One Adam step with bias correction, in place, with the moments
+      // laid out in parameters() order.
       ++Step;
       double Correction1 = 1.0 - std::pow(Options.Beta1, double(Step));
       double Correction2 = 1.0 - std::pow(Options.Beta2, double(Step));
-      auto adamStep = [&](double Gradient) {
-        FirstMoment[Offset] = Options.Beta1 * FirstMoment[Offset] +
-                              (1.0 - Options.Beta1) * Gradient;
-        SecondMoment[Offset] = Options.Beta2 * SecondMoment[Offset] +
-                               (1.0 - Options.Beta2) * Gradient * Gradient;
-        double MHat = FirstMoment[Offset] / Correction1;
-        double VHat = SecondMoment[Offset] / Correction2;
-        Params[Offset] -=
-            Options.LearningRate * MHat / (std::sqrt(VHat) + Options.Epsilon);
-        ++Offset;
+      double *M = FirstMoment.data();
+      double *V = SecondMoment.data();
+      auto adamStep = [&](double *Params, const std::vector<double> &Grads) {
+        for (size_t I = 0; I < Grads.size(); ++I) {
+          double Gradient = Grads[I];
+          M[I] = Options.Beta1 * M[I] + (1.0 - Options.Beta1) * Gradient;
+          V[I] = Options.Beta2 * V[I] +
+                 (1.0 - Options.Beta2) * Gradient * Gradient;
+          double MHat = M[I] / Correction1;
+          double VHat = V[I] / Correction2;
+          Params[I] -=
+              Options.LearningRate * MHat / (std::sqrt(VHat) + Options.Epsilon);
+        }
+        M += Grads.size();
+        V += Grads.size();
       };
       for (size_t Layer = 0; Layer < Weights.size(); ++Layer) {
-        const Matrix &Grad = WeightGrads[Layer];
-        for (size_t Row = 0; Row < Grad.rows(); ++Row) {
-          const double *RowPtr = Grad.rowPtr(Row);
-          for (size_t Col = 0; Col < Grad.cols(); ++Col)
-            adamStep(RowPtr[Col]);
-        }
-        for (double Gradient : BiasGrads[Layer])
-          adamStep(Gradient);
+        adamStep(Weights[Layer].rowPtr(0), Ws.WeightGrads[Layer]);
+        adamStep(Biases[Layer].data(), Ws.BiasGrads[Layer]);
       }
-      assert(Offset == Params.size() && "gradient/parameter layout skew");
-      setParameters(Params);
     }
   }
 }
@@ -276,14 +351,12 @@ void MlpClassifier::train(const Dataset &Train) {
 std::array<double, MaxUnrollFactor>
 MlpClassifier::scores(const FeatureVector &FeaturesIn) const {
   assert(!Weights.empty() && "classifier queried before training");
+  Workspace Ws(Weights, 1, /*WithGradients=*/false);
   std::vector<double> Query = Norm.apply(FeaturesIn);
-  Matrix Batch(1, Query.size());
-  std::copy(Query.begin(), Query.end(), Batch.rowPtr(0));
-  Matrix Probs;
-  forward(Batch, Probs);
+  std::copy(Query.begin(), Query.end(), Ws.Acts[0].begin());
+  forward(Ws, 1);
   std::array<double, MaxUnrollFactor> Scores = {};
-  for (unsigned Class = 0; Class < MaxUnrollFactor; ++Class)
-    Scores[Class] = Probs.at(0, Class);
+  std::copy_n(Ws.Probs.begin(), MaxUnrollFactor, Scores.begin());
   return Scores;
 }
 
@@ -332,34 +405,39 @@ void MlpClassifier::setParameters(const std::vector<double> &Flat) {
 
 double MlpClassifier::lossOn(const Dataset &Data) const {
   assert(!Weights.empty() && "lossOn() requires initialized weights");
-  std::vector<std::vector<double>> Points;
   std::vector<unsigned> Labels;
-  for (const Example &Ex : Data.examples()) {
-    Points.push_back(Norm.apply(Ex.Features));
-    Labels.push_back(Ex.Label);
+  Workspace Ws = fullBatch(Data, Labels, /*WithGradients=*/false);
+  size_t Rows = Labels.size();
+  forward(Ws, Rows);
+  double Loss = 0.0;
+  for (size_t Row = 0; Row < Rows; ++Row)
+    Loss -= std::log(std::max(
+        Ws.Probs[Row * MaxUnrollFactor + Labels[Row] - 1], 1e-300));
+  Loss /= Rows;
+  for (const Matrix &W : Weights) {
+    double SumSquares = 0.0;
+    for (size_t Row = 0; Row < W.rows(); ++Row) {
+      const double *RowPtr = W.rowPtr(Row);
+      for (size_t Col = 0; Col < W.cols(); ++Col)
+        SumSquares += RowPtr[Col] * RowPtr[Col];
+    }
+    Loss += 0.5 * Options.WeightDecay * SumSquares;
   }
-  return lossAndGradient(Points, Labels, nullptr, nullptr);
+  return Loss;
 }
 
 std::vector<double> MlpClassifier::lossGradient(const Dataset &Data) const {
   assert(!Weights.empty() && "lossGradient() requires initialized weights");
-  std::vector<std::vector<double>> Points;
   std::vector<unsigned> Labels;
-  for (const Example &Ex : Data.examples()) {
-    Points.push_back(Norm.apply(Ex.Features));
-    Labels.push_back(Ex.Label);
-  }
-  std::vector<Matrix> WeightGrads;
-  std::vector<std::vector<double>> BiasGrads;
-  lossAndGradient(Points, Labels, &WeightGrads, &BiasGrads);
+  Workspace Ws = fullBatch(Data, Labels, /*WithGradients=*/true);
+  forward(Ws, Labels.size());
+  backward(Ws, Labels.size(), Labels.data());
   std::vector<double> Flat;
-  for (size_t Layer = 0; Layer < WeightGrads.size(); ++Layer) {
-    const Matrix &Grad = WeightGrads[Layer];
-    for (size_t Row = 0; Row < Grad.rows(); ++Row) {
-      const double *RowPtr = Grad.rowPtr(Row);
-      Flat.insert(Flat.end(), RowPtr, RowPtr + Grad.cols());
-    }
-    Flat.insert(Flat.end(), BiasGrads[Layer].begin(), BiasGrads[Layer].end());
+  for (size_t Layer = 0; Layer < Weights.size(); ++Layer) {
+    Flat.insert(Flat.end(), Ws.WeightGrads[Layer].begin(),
+                Ws.WeightGrads[Layer].end());
+    Flat.insert(Flat.end(), Ws.BiasGrads[Layer].begin(),
+                Ws.BiasGrads[Layer].end());
   }
   return Flat;
 }

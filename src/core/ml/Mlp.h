@@ -15,8 +15,9 @@
 /// Training is deliberately serial and seeded: weight init and the
 /// per-epoch example shuffle each draw from Rng::splitStream(Seed, ...),
 /// so two trainings from the same seed produce byte-identical serialized
-/// models at any --threads setting. All dense math goes through the
-/// src/linalg Matrix class.
+/// models at any --threads setting. One forward/backward pass over flat
+/// per-fit buffers serves training, the loss and gradient surface and
+/// scores().
 ///
 //===----------------------------------------------------------------------===//
 
@@ -96,16 +97,24 @@ public:
   size_t numLayers() const { return Weights.size(); }
 
 private:
-  /// Forward pass over a batch: returns the input consumed by each layer
-  /// (index 0 is the batch itself, then the ReLU activations); the softmax
-  /// probabilities land in \p Probs (Rows x MaxUnrollFactor).
-  std::vector<Matrix> forward(const Matrix &Batch, Matrix &Probs) const;
+  /// Flat scratch for one pass over a batch of up to a fixed number of
+  /// rows: each layer's input, the softmax probabilities and, for a
+  /// backward pass, the deltas and every layer's gradients. Defined in
+  /// Mlp.cpp; train() allocates one per fit.
+  struct Workspace;
 
-  /// Full-batch loss and (optionally) gradients for \p Points/Labels.
-  double lossAndGradient(const std::vector<std::vector<double>> &Points,
-                         const std::vector<unsigned> &Labels,
-                         std::vector<Matrix> *WeightGrads,
-                         std::vector<std::vector<double>> *BiasGrads) const;
+  /// The normalized examples of \p Data as one full batch, with their
+  /// labels in \p Labels.
+  Workspace fullBatch(const Dataset &Data, std::vector<unsigned> &Labels,
+                      bool WithGradients) const;
+
+  /// Forward pass over the first \p Rows rows of the workspace's batch:
+  /// every hidden layer's ReLU activations, then the softmax.
+  void forward(Workspace &Ws, size_t Rows) const;
+
+  /// Backward pass after forward(): the gradient of the mean
+  /// cross-entropy plus the L2 penalty, for every layer.
+  void backward(Workspace &Ws, size_t Rows, const unsigned *Labels) const;
 
   void initializeWeights();
 

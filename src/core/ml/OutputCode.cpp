@@ -9,6 +9,7 @@
 #include <cassert>
 #include <cstdio>
 #include <cmath>
+#include <stdexcept>
 
 using namespace metaopt;
 
@@ -82,7 +83,14 @@ void SvmClassifier::train(const Dataset &Train) {
                  static_cast<double>(Features.size()));
   Solver = LsSvmSolver::create(Points, *Kernel, Options.Gamma, BitLabels,
                                &Machines);
-  assert(Solver && "kernel system must be positive definite");
+  if (!Solver) {
+    // No machine of an earlier fit may outlive its points.
+    Points.clear();
+    Machines.clear();
+    throw std::runtime_error(
+        "svm: the kernel system is not positive definite (non-finite "
+        "features?)");
+  }
 }
 
 std::array<double, MaxUnrollFactor>

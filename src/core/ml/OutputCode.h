@@ -51,6 +51,8 @@ public:
   explicit SvmClassifier(FeatureSet Features, SvmOptions Options = {});
 
   std::string name() const override;
+  /// Throws std::runtime_error when the kernel system has no Cholesky
+  /// factor (a non-finite feature), leaving the classifier untrained.
   void train(const Dataset &Train) override;
   unsigned predict(const FeatureVector &Features) const override;
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 using namespace metaopt;
 
@@ -30,7 +31,14 @@ void KrrUnrollRegressor::train(const Dataset &Train) {
   Kernel.emplace(Options.SigmaSquaredPerDim *
                  static_cast<double>(Features.size()));
   Solver = LsSvmSolver::create(Points, *Kernel, Options.Gamma);
-  assert(Solver && "kernel system must be positive definite");
+  if (!Solver) {
+    // No machine of an earlier fit may outlive its points.
+    Points.clear();
+    Targets.clear();
+    Machine = LsSvmBinary();
+    throw std::runtime_error("krr-regression: the kernel system is not "
+                             "positive definite (non-finite features?)");
+  }
   Machine = Solver->solve(Targets);
 }
 

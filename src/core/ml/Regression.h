@@ -39,6 +39,8 @@ public:
   explicit KrrUnrollRegressor(FeatureSet Features, KrrOptions Options = {});
 
   std::string name() const override;
+  /// Throws std::runtime_error when the kernel system has no Cholesky
+  /// factor (a non-finite feature), leaving the classifier untrained.
   void train(const Dataset &Train) override;
 
   /// Rounded and clamped to 1..MaxUnrollFactor.

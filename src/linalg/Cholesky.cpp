@@ -10,9 +10,9 @@
 
 // The AVX2 kernels are compiled per function with target("avx2"), so the
 // rest of the build keeps its baseline target and the same binary runs on
-// a CPU without AVX2. target("avx2") does not enable FMA, and
-// metaopt_linalg's -ffp-contract=off keeps even an -mfma build from
-// fusing a multiply into its subtract.
+// a CPU without AVX2. target("avx2") does not enable FMA, and the
+// -ffp-contract=off every library gets from metaopt_support keeps even an
+// -mfma build from fusing a multiply into its subtract.
 #if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
 #define METAOPT_CHOLESKY_AVX2 1
 #include <immintrin.h>

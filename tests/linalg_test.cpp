@@ -306,7 +306,8 @@ Matrix dominantSpd(size_t N, Rng &Generator) {
 }
 
 /// The LS-SVM system K + I/gamma for N Gaussian points in 10-D, with the
-/// RBF width the SVM uses on 10 features and gamma = 10.
+/// RBF width the SVM uses on 10 features and gamma = 10. Like every
+/// kernelMatrix it fills only the lower triangle, all the factor reads.
 Matrix rbfSystem(size_t N, Rng &Generator) {
   std::vector<std::vector<double>> Points(N);
   for (std::vector<double> &Point : Points)

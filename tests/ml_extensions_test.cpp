@@ -22,6 +22,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <stdexcept>
 
 using namespace metaopt;
 
@@ -261,6 +263,31 @@ TEST(RegressionTest, InterpolatesLinearTrend) {
   unsigned Rounded = Krr.predict(Query);
   EXPECT_GE(Rounded, 4u);
   EXPECT_LE(Rounded, 5u);
+}
+
+/// One NaN feature poisons the normalizer, so the kernel system has no
+/// Cholesky factor: the fit must fail loudly in every build mode, fresh
+/// or over an earlier fit, and a later good fit must train as if fresh.
+TEST(RegressionTest, FailedFactorizationThrowsOnAFreshFitAndARefit) {
+  Dataset Poisoned = linearDataset(50, 63);
+  Example Bad = Poisoned[25];
+  Bad.Features[0] = std::nan("");
+  Poisoned.add(Bad);
+  KrrUnrollRegressor Fresh(firstTwoFeatures());
+  EXPECT_THROW(Fresh.train(Poisoned), std::runtime_error);
+
+  Dataset Good = linearDataset(200, 64);
+  KrrUnrollRegressor Refit(firstTwoFeatures());
+  Refit.train(Good);
+  EXPECT_THROW(Refit.train(Poisoned), std::runtime_error);
+  Refit.train(Good);
+  KrrUnrollRegressor Reference(firstTwoFeatures());
+  Reference.train(Good);
+  FeatureVector Query = {};
+  Query[0] = 0.3;
+  double Expected = Reference.predictValue(Query);
+  double Actual = Refit.predictValue(Query);
+  EXPECT_EQ(std::memcmp(&Actual, &Expected, sizeof(double)), 0);
 }
 
 TEST(RegressionTest, PredictionsOrderedAlongTrend) {

@@ -5,12 +5,16 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "concurrency/ThreadPool.h"
 #include "core/driver/LabelCollector.h"
 #include "core/features/FeatureCatalog.h"
 #include "core/ml/CrossValidation.h"
+#include "core/ml/DecisionTree.h"
 #include "core/ml/Evaluation.h"
 #include "core/ml/FeatureSelection.h"
+#include "core/ml/Forest.h"
 #include "core/ml/Lda.h"
+#include "core/ml/Mlp.h"
 #include "core/ml/NearNeighbor.h"
 #include "core/ml/OutputCode.h"
 #include "corpus/BenchmarkSuite.h"
@@ -19,6 +23,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <stdexcept>
 
 using namespace metaopt;
 
@@ -62,6 +68,44 @@ FeatureSet firstTwoFeatures() {
 FeatureSet firstFourFeatures() {
   return {static_cast<FeatureId>(0), static_cast<FeatureId>(1),
           static_cast<FeatureId>(2), static_cast<FeatureId>(3)};
+}
+
+/// A training set whose one NaN feature poisons the normalizer, so the
+/// kernel system has no Cholesky factor.
+Dataset nanDataset(size_t N, uint64_t Seed) {
+  Dataset Data = cleanDataset(N, Seed);
+  Dataset Poisoned;
+  for (size_t I = 0; I < Data.size(); ++I) {
+    Example Ex = Data[I];
+    if (I == N / 2)
+      Ex.Features[0] = std::nan("");
+    Poisoned.add(std::move(Ex));
+  }
+  return Poisoned;
+}
+
+/// The seeded quick corpus the model digests are pinned on: 6-10 loops
+/// per benchmark, SWP off, about 600 examples. Labeled once per process.
+const Dataset &quickCorpus() {
+  static const Dataset Data = [] {
+    CorpusOptions Corpus;
+    Corpus.Seed = 14;
+    Corpus.MinLoopsPerBenchmark = 6;
+    Corpus.MaxLoopsPerBenchmark = 10;
+    LabelingOptions Labeling;
+    Labeling.EnableSwp = false;
+    return collectLabels(buildCorpus(Corpus), Labeling);
+  }();
+  return Data;
+}
+
+/// Trains \p Model on the quick corpus and returns the digest of its
+/// serialized model as {Hi, Lo}.
+std::pair<uint64_t, uint64_t> quickCorpusModelDigest(Classifier &Model) {
+  Model.train(quickCorpus());
+  FingerprintHasher Hasher;
+  Hasher.str(Model.serialize());
+  return {Hasher.digest().Hi, Hasher.digest().Lo};
 }
 
 } // namespace
@@ -270,6 +314,51 @@ TEST(LsSvmTest, LooIdentityMatchesRetraining) {
   }
 }
 
+/// kernelMatrix fills the diagonal and the lower triangle, the part the
+/// Cholesky factor reads, and leaves the upper triangle zero. Every lower
+/// entry must carry the bits of the scalar kernel call, whichever pool
+/// size built it.
+TEST(KernelTest, KernelMatrixLowerTriangleMatchesTheKernelOnEveryPool) {
+  Rng Generator(43);
+  RbfKernel Kernel(7.0);
+  for (size_t N : {0, 1, 2, 3, 4, 5, 6, 9, 67, 130}) {
+    std::vector<std::vector<double>> Points(N, std::vector<double>(7));
+    for (std::vector<double> &Point : Points)
+      for (double &Value : Point)
+        Value = Generator.nextGaussian();
+    Matrix Reference;
+    for (unsigned Threads : {1u, 2u, 4u}) {
+      ThreadPool::setGlobalThreads(Threads);
+      Matrix K = kernelMatrix(Kernel, Points);
+      ASSERT_EQ(K.rows(), N);
+      ASSERT_EQ(K.cols(), N);
+      const double One = 1.0, Zero = 0.0;
+      for (size_t I = 0; I < N; ++I) {
+        EXPECT_EQ(std::memcmp(&K.at(I, I), &One, sizeof(double)), 0)
+            << "diagonal " << I;
+        for (size_t J = 0; J < I; ++J) {
+          double Expected = Kernel(Points[J], Points[I]);
+          EXPECT_EQ(std::memcmp(&K.at(I, J), &Expected, sizeof(double)), 0)
+              << "N " << N << " entry (" << I << ", " << J << ")";
+        }
+        for (size_t J = I + 1; J < N; ++J)
+          EXPECT_EQ(std::memcmp(&K.at(I, J), &Zero, sizeof(double)), 0)
+              << "N " << N << " upper entry (" << I << ", " << J << ")";
+      }
+      if (Threads == 1) {
+        Reference = K;
+        continue;
+      }
+      for (size_t I = 0; I < N; ++I)
+        EXPECT_EQ(std::memcmp(K.rowPtr(I), Reference.rowPtr(I),
+                              N * sizeof(double)),
+                  0)
+            << "N " << N << " row " << I << " on " << Threads << " threads";
+    }
+  }
+  ThreadPool::setGlobalThreads(0); // Restore the default pool.
+}
+
 TEST(SvmClassifierTest, LearnsCleanRule) {
   Dataset Train = cleanDataset(300, 20);
   Dataset Test = cleanDataset(100, 21);
@@ -300,13 +389,7 @@ TEST(SvmClassifierTest, FastLoocvMatchesBruteForce) {
 /// inverse-diagonal LOOCV must reproduce, bit for bit, the model and the
 /// LOOCV predictions the unblocked scalar loops made.
 TEST(SvmClassifierTest, QuickCorpusModelAndLoocvDigestsArePinned) {
-  CorpusOptions Corpus;
-  Corpus.Seed = 14;
-  Corpus.MinLoopsPerBenchmark = 6;
-  Corpus.MaxLoopsPerBenchmark = 10;
-  LabelingOptions Labeling;
-  Labeling.EnableSwp = false;
-  Dataset Data = collectLabels(buildCorpus(Corpus), Labeling);
+  const Dataset &Data = quickCorpus();
   ASSERT_GT(Data.size(), 500u);
 
   SvmClassifier Svm(paperReducedFeatureSet());
@@ -323,6 +406,63 @@ TEST(SvmClassifierTest, QuickCorpusModelAndLoocvDigestsArePinned) {
     Loocv.u64(Prediction);
   EXPECT_EQ(Loocv.digest().Hi, 0xdcfb3c4f6447acdbULL);
   EXPECT_EQ(Loocv.digest().Lo, 0x6d3837a206e77428ULL);
+}
+
+/// The other fitted families on the same corpus, pinned the same way. Each
+/// fit's loops may be rearranged for speed, but every model must keep its
+/// bytes: the tree's splits and thresholds, and the MLP's weights after
+/// every Adam step. The forest is pinned on pools of 1 and 4 threads.
+TEST(ModelDigestTest, DecisionTreeQuickCorpusModelIsPinned) {
+  DecisionTreeClassifier Tree(paperReducedFeatureSet());
+  auto Digest = quickCorpusModelDigest(Tree);
+  EXPECT_EQ(Digest.first, 0xa45ca20ac958a626ULL);
+  EXPECT_EQ(Digest.second, 0xa72f9f29cc4c0e6dULL);
+}
+
+TEST(ModelDigestTest, RandomForestQuickCorpusModelIsPinnedOnEveryPool) {
+  for (unsigned Threads : {1u, 4u}) {
+    ThreadPool::setGlobalThreads(Threads);
+    RandomForestClassifier Forest(paperReducedFeatureSet());
+    auto Digest = quickCorpusModelDigest(Forest);
+    EXPECT_EQ(Digest.first, 0x4b61f2f717029426ULL) << Threads << " threads";
+    EXPECT_EQ(Digest.second, 0xb5d141d5260fd226ULL) << Threads << " threads";
+  }
+  ThreadPool::setGlobalThreads(0); // Restore the default pool.
+}
+
+TEST(ModelDigestTest, MlpOneHiddenLayerQuickCorpusModelIsPinned) {
+  MlpClassifier Mlp(paperReducedFeatureSet());
+  auto Digest = quickCorpusModelDigest(Mlp);
+  EXPECT_EQ(Digest.first, 0xf90e87dd2882bf57ULL);
+  EXPECT_EQ(Digest.second, 0xfb631348e1d78ce0ULL);
+}
+
+TEST(ModelDigestTest, MlpTwoHiddenLayersQuickCorpusModelIsPinned) {
+  MlpOptions Options;
+  Options.HiddenSizes = {24, 12};
+  MlpClassifier Mlp(paperReducedFeatureSet(), Options);
+  auto Digest = quickCorpusModelDigest(Mlp);
+  EXPECT_EQ(Digest.first, 0xc6be20cdc8659881ULL);
+  EXPECT_EQ(Digest.second, 0xe6dc2ac37601feb0ULL);
+}
+
+TEST(SvmClassifierTest, FailedFactorizationThrowsOnAFreshFit) {
+  SvmClassifier Svm(firstTwoFeatures());
+  EXPECT_THROW(Svm.train(nanDataset(50, 40)), std::runtime_error);
+}
+
+/// A refit that fails must not leave the previous fit's machines behind
+/// (they would be scored against the new, smaller point set); a later
+/// good fit trains as if fresh.
+TEST(SvmClassifierTest, FailedFactorizationThrowsOnARefit) {
+  Dataset Good = cleanDataset(200, 41);
+  SvmClassifier Svm(firstTwoFeatures());
+  Svm.train(Good);
+  EXPECT_THROW(Svm.train(nanDataset(50, 42)), std::runtime_error);
+  Svm.train(Good);
+  SvmClassifier Fresh(firstTwoFeatures());
+  Fresh.train(Good);
+  EXPECT_EQ(Svm.serialize(), Fresh.serialize());
 }
 
 TEST(SvmClassifierTest, EcocAlsoLearns) {
