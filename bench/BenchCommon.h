@@ -11,7 +11,9 @@
 /// of benches reuse through the simulation cache), paper-vs-measured row
 /// printing, and the ORC-baseline prediction collection used by Table 2.
 ///
-/// Every bench accepts --quick to run on a reduced corpus.
+/// Every pipeline bench parses its flags through benchCli and
+/// parseBenchFlags, so each accepts --quick, --threads, --cache-dir and
+/// --no-sim-cache, and answers --help.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,41 +39,65 @@
 
 namespace metaopt {
 
-/// Applies the shared --threads=<n> flag: resizes the global pool that
-/// labeling, LOOCV, speedup evaluation, and feature selection run on.
-/// Without the flag the pool keeps its default (METAOPT_THREADS env var
-/// or hardware concurrency); --threads=1 forces the serial golden path.
-inline void applyThreadsFlag(const CommandLine &Args) {
-  if (Args.has("threads"))
-    ThreadPool::setGlobalThreads(
-        static_cast<unsigned>(Args.getInt("threads", 0)));
+/// Starts a bench's command line with the flags every pipeline bench
+/// shares; each main registers its own flags on the result and then calls
+/// parseBenchFlags. "Id - Description" is both the --help summary and the
+/// header the bench prints. --threads resizes the global pool that
+/// labeling, LOOCV, speedup evaluation and feature selection run on;
+/// --cache-dir lets a bench run after another with the same directory
+/// replay its simulations; --no-sim-cache lets the cache-on/cache-off
+/// byte-identity invariant be spot-checked on any bench. Without them the
+/// pool and the cache keep their environment defaults (METAOPT_THREADS,
+/// METAOPT_SIM_CACHE, METAOPT_CACHE_DIR).
+inline CliParser benchCli(const char *Tool, const std::string &Id,
+                          const std::string &Description) {
+  CliParser Cli(Tool, Id + " - " + Description);
+  Cli.flag("quick", "run on the reduced corpus (6-10 loops per benchmark)");
+  Cli.intOption("threads", "n",
+                "worker threads (1 = serial; default: METAOPT_THREADS, else "
+                "hardware concurrency)",
+                std::nullopt, 1, ThreadPool::MaxThreads);
+  Cli.stringOption("cache-dir", "dir",
+                   "persist the simulation cache under <dir>; a rerun "
+                   "replays its simulations");
+  Cli.flag("no-sim-cache", "disable the simulation cache");
+  return Cli;
 }
 
-/// Applies the shared simulation-cache flags: --cache-dir=<dir> attaches
-/// the persistent tier of the process-global SimCache, the only label
-/// cache, so a bench run after another with the same directory replays
-/// its simulations instead of repeating them; --no-sim-cache disables the
-/// cache entirely so the cache-on/cache-off byte-identity invariant can be
-/// spot-checked on any bench. Without either flag the global cache keeps
-/// its environment defaults (METAOPT_SIM_CACHE / METAOPT_CACHE_DIR).
-inline void applySimCacheFlags(const CommandLine &Args) {
-  if (Args.has("no-sim-cache")) {
+/// Prints the standard header naming the experiment.
+inline void printBenchHeader(const std::string &Title) {
+  std::printf("==============================================================="
+              "=\n%s\n"
+              "================================================================"
+              "\n",
+              Title.c_str());
+}
+
+/// The one parse-and-apply step of every pipeline bench: parses argv,
+/// prints the header, and applies --threads and the sim-cache flags.
+/// Returns the exit code when the bench should stop (--help, bad input).
+inline std::optional<int> parseBenchFlags(CliParser &Cli, int Argc,
+                                          char **Argv) {
+  if (std::optional<int> Exit = Cli.parse(Argc, Argv))
+    return Exit;
+  printBenchHeader(Cli.summary());
+  if (Cli.has("threads"))
+    ThreadPool::setGlobalThreads(
+        static_cast<unsigned>(Cli.getInt("threads")));
+  if (Cli.has("no-sim-cache")) {
     SimCacheConfig Config;
     Config.Enabled = false;
     SimCache::configureGlobal(Config);
-  } else if (Args.has("cache-dir")) {
+  } else if (Cli.has("cache-dir")) {
     SimCacheConfig Config;
-    Config.PersistentDir = Args.getString("cache-dir");
+    Config.PersistentDir = Cli.getString("cache-dir");
     SimCache::configureGlobal(Config);
   }
+  return std::nullopt;
 }
 
-/// Builds the standard pipeline; --quick shrinks the corpus, --threads=<n>
-/// sets the parallelism, --cache-dir / --no-sim-cache control the
-/// simulation cache.
-inline std::unique_ptr<Pipeline> makePipeline(const CommandLine &Args) {
-  applyThreadsFlag(Args);
-  applySimCacheFlags(Args);
+/// Builds the standard pipeline; --quick shrinks the corpus.
+inline std::unique_ptr<Pipeline> makePipeline(const CliParser &Args) {
   PipelineOptions Options;
   if (Args.has("quick")) {
     Options.Corpus.MinLoopsPerBenchmark = 6;
@@ -147,15 +173,6 @@ inline void printComparison(const char *What, const std::string &Paper,
                             const std::string &Measured) {
   std::printf("  %-46s paper: %-10s measured: %s\n", What, Paper.c_str(),
               Measured.c_str());
-}
-
-/// Prints the standard header naming the experiment.
-inline void printBenchHeader(const char *Id, const char *Description) {
-  std::printf("==============================================================="
-              "=\n%s - %s\n"
-              "================================================================"
-              "\n",
-              Id, Description);
 }
 
 } // namespace metaopt

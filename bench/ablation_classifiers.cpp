@@ -27,16 +27,18 @@
 using namespace metaopt;
 
 int main(int Argc, char **Argv) {
-  CommandLine Args(Argc, Argv);
-  printBenchHeader("Ablation: learning algorithms",
-                   "every classifier family on the same data and "
-                   "features");
+  CliParser Args = benchCli(
+      "ablation_classifiers", "Ablation: learning algorithms",
+      "every classifier family on the same data and features");
+  Args.intOption("cap", "n", "training subsample cap", 1000, 1);
+  if (std::optional<int> Exit = parseBenchFlags(Args, Argc, Argv))
+    return *Exit;
 
   std::unique_ptr<Pipeline> Pipe = makePipeline(Args);
   const Dataset &Full = Pipe->dataset(/*EnableSwp=*/false);
   Rng Subsampler(17);
   Dataset Data = Full.subsample(
-      static_cast<size_t>(Args.getInt("cap", 1000)), Subsampler);
+      static_cast<size_t>(Args.getInt("cap")), Subsampler);
   std::printf("evaluating on %zu loops (LOOCV)\n\n", Data.size());
   FeatureSet Features = paperReducedFeatureSet();
 

@@ -25,9 +25,11 @@
 using namespace metaopt;
 
 int main(int Argc, char **Argv) {
-  CommandLine Args(Argc, Argv);
-  printBenchHeader("Ablation: hidden program context",
-                   "accuracy with real vs pinned per-loop context");
+  CliParser Args = benchCli(
+      "ablation_context", "Ablation: hidden program context",
+      "accuracy with real vs pinned per-loop context");
+  if (std::optional<int> Exit = parseBenchFlags(Args, Argc, Argv))
+    return *Exit;
 
   CorpusOptions CorpusOpts;
   if (Args.has("quick")) {

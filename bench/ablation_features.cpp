@@ -19,9 +19,11 @@
 using namespace metaopt;
 
 int main(int Argc, char **Argv) {
-  CommandLine Args(Argc, Argv);
-  printBenchHeader("Ablation: feature subsets",
-                   "LOOCV accuracy vs feature set (NN classifier)");
+  CliParser Args = benchCli(
+      "ablation_features", "Ablation: feature subsets",
+      "LOOCV accuracy vs feature set (NN classifier)");
+  if (std::optional<int> Exit = parseBenchFlags(Args, Argc, Argv))
+    return *Exit;
 
   std::unique_ptr<Pipeline> Pipe = makePipeline(Args);
   const Dataset &Data = Pipe->dataset(/*EnableSwp=*/false);

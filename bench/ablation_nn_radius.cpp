@@ -18,9 +18,11 @@
 using namespace metaopt;
 
 int main(int Argc, char **Argv) {
-  CommandLine Args(Argc, Argv);
-  printBenchHeader("Ablation: NN radius",
-                   "LOOCV accuracy vs near-neighbor radius");
+  CliParser Args = benchCli(
+      "ablation_nn_radius", "Ablation: NN radius",
+      "LOOCV accuracy vs near-neighbor radius");
+  if (std::optional<int> Exit = parseBenchFlags(Args, Argc, Argv))
+    return *Exit;
 
   std::unique_ptr<Pipeline> Pipe = makePipeline(Args);
   const Dataset &Data = Pipe->dataset(/*EnableSwp=*/false);

@@ -19,9 +19,11 @@
 using namespace metaopt;
 
 int main(int Argc, char **Argv) {
-  CommandLine Args(Argc, Argv);
-  printBenchHeader("Ablation: instrumentation noise",
-                   "label churn and accuracy vs measurement noise");
+  CliParser Args = benchCli(
+      "ablation_noise", "Ablation: instrumentation noise",
+      "label churn and accuracy vs measurement noise");
+  if (std::optional<int> Exit = parseBenchFlags(Args, Argc, Argv))
+    return *Exit;
 
   PipelineOptions Base;
   if (Args.has("quick")) {

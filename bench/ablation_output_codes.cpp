@@ -19,16 +19,18 @@
 using namespace metaopt;
 
 int main(int Argc, char **Argv) {
-  CommandLine Args(Argc, Argv);
-  printBenchHeader("Ablation: output codes",
-                   "one-vs-rest vs error-correcting codes, Hamming vs "
-                   "loss decoding (LS-SVM)");
+  CliParser Args = benchCli(
+      "ablation_output_codes", "Ablation: output codes",
+      "one-vs-rest vs error-correcting codes, Hamming vs loss decoding "
+      "(LS-SVM)");
+  Args.intOption("svm-cap", "n", "subsample cap", 1200, 1);
+  if (std::optional<int> Exit = parseBenchFlags(Args, Argc, Argv))
+    return *Exit;
 
   std::unique_ptr<Pipeline> Pipe = makePipeline(Args);
   Rng Subsampler(3);
   Dataset Data = Pipe->dataset(/*EnableSwp=*/false)
-                     .subsample(static_cast<size_t>(
-                                    Args.getInt("svm-cap", 1200)),
+                     .subsample(static_cast<size_t>(Args.getInt("svm-cap")),
                                 Subsampler);
   std::printf("evaluating on %zu loops\n\n", Data.size());
   FeatureSet Features = paperReducedFeatureSet();

@@ -25,10 +25,11 @@
 using namespace metaopt;
 
 int main(int Argc, char **Argv) {
-  CommandLine Args(Argc, Argv);
-  printBenchHeader("Ablation: retuning to a new architecture",
-                   "relabel + retrain vs stale model vs untouched "
-                   "hand-written heuristic");
+  CliParser Args = benchCli(
+      "ablation_retune", "Ablation: retuning to a new architecture",
+      "relabel + retrain vs stale model vs untouched hand-written heuristic");
+  if (std::optional<int> Exit = parseBenchFlags(Args, Argc, Argv))
+    return *Exit;
 
   PipelineOptions OldOptions;
   PipelineOptions NewOptions;

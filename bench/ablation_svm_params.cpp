@@ -19,15 +19,17 @@
 using namespace metaopt;
 
 int main(int Argc, char **Argv) {
-  CommandLine Args(Argc, Argv);
-  printBenchHeader("Ablation: LS-SVM hyperparameters",
-                   "LOOCV accuracy over (gamma, sigma^2/dim)");
+  CliParser Args = benchCli(
+      "ablation_svm_params", "Ablation: LS-SVM hyperparameters",
+      "LOOCV accuracy over (gamma, sigma^2/dim)");
+  Args.intOption("svm-cap", "n", "subsample cap", 1000, 1);
+  if (std::optional<int> Exit = parseBenchFlags(Args, Argc, Argv))
+    return *Exit;
 
   std::unique_ptr<Pipeline> Pipe = makePipeline(Args);
   Rng Subsampler(5);
   Dataset Data = Pipe->dataset(/*EnableSwp=*/false)
-                     .subsample(static_cast<size_t>(
-                                    Args.getInt("svm-cap", 1000)),
+                     .subsample(static_cast<size_t>(Args.getInt("svm-cap")),
                                 Subsampler);
   std::printf("evaluating on %zu loops\n\n", Data.size());
   FeatureSet Features = paperReducedFeatureSet();

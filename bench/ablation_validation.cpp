@@ -23,10 +23,11 @@
 using namespace metaopt;
 
 int main(int Argc, char **Argv) {
-  CommandLine Args(Argc, Argv);
-  printBenchHeader("Ablation: validation methodology",
-                   "LOOCV vs 10-fold, per-suite breakdown, confusion "
-                   "matrix");
+  CliParser Args = benchCli(
+      "ablation_validation", "Ablation: validation methodology",
+      "LOOCV vs 10-fold, per-suite breakdown, confusion matrix");
+  if (std::optional<int> Exit = parseBenchFlags(Args, Argc, Argv))
+    return *Exit;
 
   std::unique_ptr<Pipeline> Pipe = makePipeline(Args);
   const Dataset &Data = Pipe->dataset(/*EnableSwp=*/false);

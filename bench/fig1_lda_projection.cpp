@@ -26,9 +26,11 @@
 using namespace metaopt;
 
 int main(int Argc, char **Argv) {
-  CommandLine Args(Argc, Argv);
-  printBenchHeader("Figures 1/2",
-                   "LDA projection of the loop dataset onto 2-D");
+  CliParser Args = benchCli(
+      "fig1_lda_projection", "Figures 1/2",
+      "LDA projection of the loop dataset onto 2-D");
+  if (std::optional<int> Exit = parseBenchFlags(Args, Argc, Argv))
+    return *Exit;
 
   std::unique_ptr<Pipeline> Pipe = makePipeline(Args);
   const Dataset &Full = Pipe->dataset(/*EnableSwp=*/false);

@@ -15,9 +15,11 @@
 using namespace metaopt;
 
 int main(int Argc, char **Argv) {
-  CommandLine Args(Argc, Argv);
-  printBenchHeader("Figure 3",
-                   "histogram of optimal unroll factors (SWP disabled)");
+  CliParser Args = benchCli(
+      "fig3_histogram", "Figure 3",
+      "histogram of optimal unroll factors (SWP disabled)");
+  if (std::optional<int> Exit = parseBenchFlags(Args, Argc, Argv))
+    return *Exit;
 
   std::unique_ptr<Pipeline> Pipe = makePipeline(Args);
   const Dataset &Data = Pipe->dataset(/*EnableSwp=*/false);

@@ -20,10 +20,12 @@
 using namespace metaopt;
 
 int main(int Argc, char **Argv) {
-  CommandLine Args(Argc, Argv);
-  printBenchHeader("Figure 4",
-                   "SPEC 2000 speedups over the ORC heuristic "
-                   "(SWP disabled, leave-one-benchmark-out training)");
+  CliParser Args = benchCli(
+      "fig4_speedup_noswp", "Figure 4",
+      "SPEC 2000 speedups over the ORC heuristic (SWP disabled, "
+      "leave-one-benchmark-out training)");
+  if (std::optional<int> Exit = parseBenchFlags(Args, Argc, Argv))
+    return *Exit;
 
   std::unique_ptr<Pipeline> Pipe = makePipeline(Args);
   const Dataset &Data = Pipe->dataset(/*EnableSwp=*/false);

@@ -19,10 +19,12 @@
 using namespace metaopt;
 
 int main(int Argc, char **Argv) {
-  CommandLine Args(Argc, Argv);
-  printBenchHeader("Figure 5",
-                   "SPEC 2000 speedups over the ORC heuristic "
-                   "(SWP enabled, leave-one-benchmark-out training)");
+  CliParser Args = benchCli(
+      "fig5_speedup_swp", "Figure 5",
+      "SPEC 2000 speedups over the ORC heuristic (SWP enabled, "
+      "leave-one-benchmark-out training)");
+  if (std::optional<int> Exit = parseBenchFlags(Args, Argc, Argv))
+    return *Exit;
 
   std::unique_ptr<Pipeline> Pipe = makePipeline(Args);
   const Dataset &Data = Pipe->dataset(/*EnableSwp=*/true);

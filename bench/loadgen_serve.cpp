@@ -30,14 +30,6 @@
 // It prints one counter summary line and, on failure, names each counter
 // that failed its gate.
 //
-// Usage:
-//   loadgen_serve --socket=<addr> --soak [--duration-s=10] [--label=steady]
-//                 [--clients=4] [--scores] [--deadline-ms=<ms>]
-//                 [--reference=<addr>] [--reconnectors=2] [--slow-readers=1]
-//                 [--stallers=1] [--oversized=1] [--oversized-bytes=<n>]
-//                 [--swap-bundle=<file> --swap-target=<live-path>]
-//                 [<file.loop> ...]
-//
 //===----------------------------------------------------------------------===//
 
 #include "serve/Client.h"
@@ -107,18 +99,19 @@ struct SoakConfig {
   std::string Address;
   std::string Reference;  ///< Byte-identity reference endpoint (optional).
   std::vector<std::string> LoopTexts;
+  // The rest come from the command line, defaults included (main).
   bool WantScores = false;
   int64_t DeadlineMs = 0;
-  int64_t DurationS = 10;
-  int64_t Steady = 4;
+  int64_t DurationS = 0;
+  int64_t Steady = 0;
   int64_t Reconnectors = 0;
   int64_t SlowReaders = 0;
   int64_t Stallers = 0;
   int64_t Oversized = 0;
-  int64_t OversizedBytes = (1 << 20) + 1024;
+  int64_t OversizedBytes = 0;
   std::string SwapBundle;  ///< Bundle file to promote mid-run.
   std::string SwapTarget;  ///< Live path the worker fleet watches.
-  std::string Label = "steady";
+  std::string Label;
   Clock::time_point End;
 };
 
@@ -521,26 +514,28 @@ int main(int Argc, char **Argv) {
                 "slow readers, stallers, oversized\nframes, optional "
                 "mid-run bundle hot-swap) that exits 1 when a counter\n"
                 "misses the gate its clients imply.");
-  Cli.option("socket", "addr",
-             "daemon address: unix socket path or host:port (required)");
+  Cli.stringOption("socket", "addr",
+                   "daemon address: unix socket path or host:port "
+                   "(required)");
   Cli.flag("soak", "run the mixed-workload soak (required)");
-  Cli.option("clients", "n", "steady closed-loop clients (default: 4)");
+  Cli.intOption("clients", "n", "steady closed-loop clients", 4, 0);
   Cli.flag("scores", "request per-factor scores");
-  Cli.option("deadline-ms", "ms", "per-request deadline (default: none)");
-  Cli.option("duration-s", "s", "wall-clock duration (default: 10)");
-  Cli.option("label", "name", "summary line label (default: steady)");
-  Cli.option("reference", "addr",
-             "endpoint of the serial byte-identity reference pass");
-  Cli.option("reconnectors", "n", "clients that reconnect (default: 0)");
-  Cli.option("slow-readers", "n", "clients that dribble reads (default: 0)");
-  Cli.option("stallers", "n",
-             "clients that park partial frames (default: 0)");
-  Cli.option("oversized", "n",
-             "clients that send oversized lines (default: 0)");
-  Cli.option("oversized-bytes", "n",
-             "size of an oversized line (default: 1 MiB + 1 KiB)");
-  Cli.option("swap-bundle", "file", "bundle to hot-swap in mid-soak");
-  Cli.option("swap-target", "path", "live bundle path the fleet watches");
+  Cli.intOption("deadline-ms", "ms", "per-request deadline (0 = none)", 0,
+                0);
+  Cli.intOption("duration-s", "s", "wall-clock duration", 10, 1);
+  Cli.stringOption("label", "name", "summary line label", "steady");
+  Cli.stringOption("reference", "addr",
+                   "endpoint of the serial byte-identity reference pass");
+  Cli.intOption("reconnectors", "n", "clients that reconnect", 0, 0);
+  Cli.intOption("slow-readers", "n", "clients that dribble reads", 0, 0);
+  Cli.intOption("stallers", "n", "clients that park partial frames", 0, 0);
+  Cli.intOption("oversized", "n", "clients that send oversized lines", 0,
+                0);
+  Cli.intOption("oversized-bytes", "n", "bytes in an oversized line",
+                (1 << 20) + 1024, 2);
+  Cli.stringOption("swap-bundle", "file", "bundle to hot-swap in mid-soak");
+  Cli.stringOption("swap-target", "path",
+                   "live bundle path the fleet watches");
   Cli.positionalHelp("[<file.loop> ...]",
                      "loop files to cycle through (default: built-ins)");
   if (std::optional<int> Exit = Cli.parse(Argc, Argv))
@@ -555,24 +550,17 @@ int main(int Argc, char **Argv) {
   }
   Config.Reference = Cli.getString("reference");
   Config.WantScores = Cli.has("scores");
-  Config.DeadlineMs = Cli.getInt("deadline-ms", 0);
-  Config.DurationS = Cli.getInt("duration-s", 10);
-  Config.Steady = Cli.getInt("clients", 4);
-  Config.Reconnectors = Cli.getInt("reconnectors", 0);
-  Config.SlowReaders = Cli.getInt("slow-readers", 0);
-  Config.Stallers = Cli.getInt("stallers", 0);
-  Config.Oversized = Cli.getInt("oversized", 0);
-  Config.OversizedBytes = Cli.getInt("oversized-bytes", Config.OversizedBytes);
+  Config.DeadlineMs = Cli.getInt("deadline-ms");
+  Config.DurationS = Cli.getInt("duration-s");
+  Config.Steady = Cli.getInt("clients");
+  Config.Reconnectors = Cli.getInt("reconnectors");
+  Config.SlowReaders = Cli.getInt("slow-readers");
+  Config.Stallers = Cli.getInt("stallers");
+  Config.Oversized = Cli.getInt("oversized");
+  Config.OversizedBytes = Cli.getInt("oversized-bytes");
   Config.SwapBundle = Cli.getString("swap-bundle");
   Config.SwapTarget = Cli.getString("swap-target");
-  Config.Label = Cli.has("label") ? Cli.getString("label") : "steady";
-  if (Config.DeadlineMs < 0 || Config.DurationS < 1 || Config.Steady < 0 ||
-      Config.Reconnectors < 0 || Config.SlowReaders < 0 ||
-      Config.Stallers < 0 || Config.Oversized < 0 ||
-      Config.OversizedBytes < 2) {
-    std::fprintf(stderr, "loadgen_serve: bad soak tuning\n");
-    return 2;
-  }
+  Config.Label = Cli.getString("label");
   if (Config.SwapBundle.empty() != Config.SwapTarget.empty()) {
     std::fprintf(stderr, "loadgen_serve: --swap-bundle and --swap-target "
                          "go together\n");

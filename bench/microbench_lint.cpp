@@ -10,15 +10,11 @@
 // thread count must produce the byte-identical findings the serial sweep
 // produces, and the shipped corpus must stay error-free.
 //
-// Flags:
-//   --threads=<csv>  comma-separated thread counts (default "1,2,4,8")
-//
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
 #include "concurrency/ThreadPool.h"
 #include "corpus/CorpusAudit.h"
-#include "support/CommandLine.h"
 #include "support/StringUtils.h"
 
 #include <chrono>
@@ -36,15 +32,16 @@ double secondsSince(std::chrono::steady_clock::time_point Start) {
       .count();
 }
 
-std::vector<unsigned> parseThreadList(const std::string &Csv) {
+/// Parses the --threads list; std::nullopt when an entry is not an
+/// integer in [1, ThreadPool::MaxThreads].
+std::optional<std::vector<unsigned>> parseThreadList(const std::string &Csv) {
   std::vector<unsigned> Threads;
   for (const std::string &Part : split(Csv, ',')) {
-    int Value = std::atoi(Part.c_str());
-    if (Value >= 1)
-      Threads.push_back(static_cast<unsigned>(Value));
+    std::optional<int64_t> Value = parseInt(Part);
+    if (!Value || *Value < 1 || *Value > ThreadPool::MaxThreads)
+      return std::nullopt;
+    Threads.push_back(static_cast<unsigned>(*Value));
   }
-  if (Threads.empty())
-    Threads = {1, 2, 4, 8};
   return Threads;
 }
 
@@ -63,9 +60,22 @@ std::string renderFindings(const CorpusAuditResult &Result) {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  CommandLine Args(Argc, Argv);
-  std::vector<unsigned> ThreadCounts =
-      parseThreadList(Args.getString("threads", "1,2,4,8"));
+  CliParser Cli("microbench_lint",
+                "Wall clock of the full-corpus lint sweep per thread count, "
+                "as JSON rows\nrewritten into BENCH_lint.json.");
+  Cli.stringOption("threads", "n,n,...", "thread counts to sweep",
+                   "1,2,4,8");
+  if (std::optional<int> Exit = Cli.parse(Argc, Argv))
+    return *Exit;
+  std::optional<std::vector<unsigned>> ThreadCounts =
+      parseThreadList(Cli.getString("threads"));
+  if (!ThreadCounts) {
+    std::fprintf(stderr,
+                 "microbench_lint: option '--threads' expects integers in "
+                 "[1, %u], got '%s'\n",
+                 ThreadPool::MaxThreads, Cli.getString("threads").c_str());
+    return 2;
+  }
 
   std::vector<Benchmark> Corpus = buildCorpus();
 
@@ -73,7 +83,7 @@ int main(int Argc, char **Argv) {
   double BaselineSeconds = 0.0;
   std::string BaselineFindings;
   bool SeenBaseline = false;
-  for (unsigned Threads : ThreadCounts) {
+  for (unsigned Threads : *ThreadCounts) {
     ThreadPool::setGlobalThreads(Threads);
     auto Start = std::chrono::steady_clock::now();
     CorpusAuditResult Result = auditBenchmarks(Corpus);

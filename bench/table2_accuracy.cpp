@@ -29,10 +29,15 @@
 using namespace metaopt;
 
 int main(int Argc, char **Argv) {
-  CommandLine Args(Argc, Argv);
-  printBenchHeader("Table 2",
-                   "prediction accuracy: NN vs SVM vs ORC heuristic "
-                   "(LOOCV, SWP disabled)");
+  CliParser Args = benchCli(
+      "table2_accuracy", "Table 2",
+      "prediction accuracy: NN vs SVM vs ORC heuristic (LOOCV, SWP disabled)");
+  Args.numberOption("radius", "r", "near-neighbor radius", 0.3);
+  Args.intOption("svm-cap", "n",
+                 "SVM subsample cap (default: the whole dataset)",
+                 std::nullopt, 1);
+  if (std::optional<int> Exit = parseBenchFlags(Args, Argc, Argv))
+    return *Exit;
 
   std::unique_ptr<Pipeline> Pipe = makePipeline(Args);
   const Dataset &Data = Pipe->dataset(/*EnableSwp=*/false);
@@ -40,14 +45,15 @@ int main(int Argc, char **Argv) {
 
   FeatureSet Features = paperReducedFeatureSet();
 
-  NearNeighborClassifier Nn(Features, Args.getDouble("radius", 0.3));
+  NearNeighborClassifier Nn(Features, Args.getDouble("radius"));
   std::vector<unsigned> NnPred = loocvPredictions(Nn, Data);
 
   // Full-dataset SVM LOOCV via the exact closed-form shortcut; one O(n^3)
   // factorization total (~40s at n~2700). --svm-cap subsamples.
   Rng Subsampler(1);
-  size_t Cap = static_cast<size_t>(
-      Args.getInt("svm-cap", static_cast<int64_t>(Data.size())));
+  size_t Cap = Args.has("svm-cap")
+                   ? static_cast<size_t>(Args.getInt("svm-cap"))
+                   : Data.size();
   Dataset SvmData = Data.subsample(Cap, Subsampler);
   SvmClassifier Svm(Features);
   std::vector<unsigned> SvmPred = loocvPredictions(Svm, SvmData);

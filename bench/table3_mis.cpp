@@ -18,14 +18,17 @@
 using namespace metaopt;
 
 int main(int Argc, char **Argv) {
-  CommandLine Args(Argc, Argv);
-  printBenchHeader("Table 3",
-                   "top features by mutual information score (10 "
-                   "equal-frequency bins)");
+  CliParser Args = benchCli(
+      "table3_mis", "Table 3",
+      "top features by mutual information score (10 equal-frequency bins)");
+  Args.intOption("bins", "n", "equal-frequency bins per feature", 10, 2,
+                 std::numeric_limits<int>::max());
+  if (std::optional<int> Exit = parseBenchFlags(Args, Argc, Argv))
+    return *Exit;
 
   std::unique_ptr<Pipeline> Pipe = makePipeline(Args);
   const Dataset &Data = Pipe->dataset(/*EnableSwp=*/false);
-  int Bins = static_cast<int>(Args.getInt("bins", 10));
+  int Bins = static_cast<int>(Args.getInt("bins"));
   auto Ranked = rankByMutualInformation(Data, Bins);
 
   TablePrinter Table("Features by MIS");

@@ -19,21 +19,26 @@
 using namespace metaopt;
 
 int main(int Argc, char **Argv) {
-  CommandLine Args(Argc, Argv);
-  printBenchHeader("Table 4",
-                   "greedy forward feature selection: the paper's 1-NN and "
-                   "every servable classifier's training error");
+  CliParser Args = benchCli(
+      "table4_greedy", "Table 4",
+      "greedy forward feature selection: the paper's 1-NN and every servable "
+      "classifier's training error");
+  Args.intOption("steps", "n", "greedy selection steps", 5, 1, NumFeatures);
+  Args.intOption("svm-cap", "n",
+                 "subsample cap of the classifier-family columns", 500, 1);
+  if (std::optional<int> Exit = parseBenchFlags(Args, Argc, Argv))
+    return *Exit;
 
   std::unique_ptr<Pipeline> Pipe = makePipeline(Args);
   const Dataset &Data = Pipe->dataset(/*EnableSwp=*/false);
-  unsigned Steps = static_cast<unsigned>(Args.getInt("steps", 5));
+  unsigned Steps = static_cast<unsigned>(Args.getInt("steps"));
 
   // The paper's 1-NN greedy runs on the full dataset (leave-self-out);
   // the family columns retrain a model per candidate feature, so they use
   // a subsample to stay tractable (41 features x 5 steps retrains each).
   Rng Subsampler(11);
   Dataset SvmData = Data.subsample(
-      static_cast<size_t>(Args.getInt("svm-cap", 500)), Subsampler);
+      static_cast<size_t>(Args.getInt("svm-cap")), Subsampler);
 
   std::vector<std::string> Columns = {"1-NN (paper)"};
   std::vector<std::vector<GreedyStep>> Lists = {

@@ -21,11 +21,6 @@
 // corpus fingerprint so a result row can never be confused with a run
 // against a different kernel set.
 //
-// Flags: --quick / --threads=<n> / --cache-dir=<d> (shared pipeline
-// flags), --cap=<n> training subsample cap (default 1000),
-// --imported=<dir> kernel corpus location (default: the committed
-// corpus/imported/ directory).
-//
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
@@ -79,10 +74,15 @@ double realizedSpeedup(const Dataset &Data,
 } // namespace
 
 int main(int Argc, char **Argv) {
-  CommandLine Args(Argc, Argv);
-  printBenchHeader("Generalization gap",
-                   "train on the synthetic corpus, evaluate on imported "
-                   "real-code kernels");
+  CliParser Args = benchCli(
+      "table_generalization", "Generalization gap",
+      "train on the synthetic corpus, evaluate on imported real-code kernels");
+  Args.intOption("cap", "n", "training subsample cap", 1000, 1);
+  Args.stringOption("imported", "dir", "imported kernel corpus",
+                    METAOPT_IMPORTED_CORPUS_DIR);
+  Args.flag("labels", "print each kernel's measured oracle label");
+  if (std::optional<int> Exit = parseBenchFlags(Args, Argc, Argv))
+    return *Exit;
 
   BenchJsonWriter Json("generalization");
   RowSink = &Json;
@@ -94,7 +94,7 @@ int main(int Argc, char **Argv) {
   const Dataset &Full = Pipe->dataset(/*EnableSwp=*/false);
   Rng Subsampler(17);
   Dataset Train = Full.subsample(
-      static_cast<size_t>(Args.getInt("cap", 1000)), Subsampler);
+      static_cast<size_t>(Args.getInt("cap")), Subsampler);
   FeatureSet Features = paperReducedFeatureSet();
 
   // Eval side: the committed kernel corpus, ingested through src/import
@@ -102,8 +102,7 @@ int main(int Argc, char **Argv) {
   // (50k-cycle noise floor, 1.05x sensitivity) are *reported*, not
   // applied: the imported set is small and fixed, and a deployed
   // predictor does not get to skip insensitive loops either.
-  std::string ImportedDir =
-      Args.getString("imported", METAOPT_IMPORTED_CORPUS_DIR);
+  std::string ImportedDir = Args.getString("imported");
   ImportedCorpus Kernels = loadImportedCorpus(ImportedDir);
   if (!Kernels.succeeded() || Kernels.Loops.empty()) {
     std::printf("FAILED to load imported corpus from %s:\n%s\n",

@@ -9,17 +9,9 @@
 // modeled performance. Demonstrates how "the learned classifier can easily
 // be incorporated into a compiler" (§4.1).
 //
-// Usage:
-//   compiler_driver [--orc] [--swp] [--classifier=<servable family>]
-//                   [--show-schedule] [--save-model=<path>]
-//                   [--load-model=<path>] <file.loop>
-//   (with no file, a built-in sample program is compiled)
-//
-// --classifier takes any servable family of classifierFamilies() (default:
-// the table's first row, the paper's near-neighbor model). --save-model
-// writes the trained classifier to disk; --load-model skips training
-// entirely and restores it - how a production compiler would ship the
-// model.
+// --save-model writes the trained classifier to disk; --load-model skips
+// training entirely and restores it - how a production compiler would ship
+// the model.
 //
 //===----------------------------------------------------------------------===//
 
@@ -84,19 +76,35 @@ static std::string readWholeFile(const std::string &Path) {
 }
 
 int main(int Argc, char **Argv) {
-  CommandLine Args(Argc, Argv);
+  CliParser Args("compiler_driver",
+                 "A miniature compiler: parse, predict the unroll factor, "
+                 "unroll,\nmemory-optimize, schedule, and report the "
+                 "modeled performance.");
+  Args.flag("orc", "use the ORC-like heuristic instead of a classifier");
+  Args.flag("swp", "enable software pipelining");
+  Args.stringOption("classifier", servableClassifierSpellings("|"),
+                    "classifier to train",
+                    classifierFamilies().front().spelling());
+  Args.flag("show-schedule", "print each loop's schedule");
+  Args.stringOption("save-model", "path", "write the trained classifier");
+  Args.stringOption("load-model", "path",
+                    "restore a saved classifier instead of training");
+  Args.positionalHelp("[<file.loop>]",
+                      "loop file to compile (default: a built-in sample)");
+  if (std::optional<int> Exit = Args.parse(Argc, Argv))
+    return *Exit;
   bool UseOrc = Args.has("orc");
   bool EnableSwp = Args.has("swp");
   bool ShowSchedule = Args.has("show-schedule");
-  const ClassifierFamily *Family = findClassifierFamily(
-      Args.getString("classifier", classifierFamilies().front().spelling()));
+  const ClassifierFamily *Family =
+      findClassifierFamily(Args.getString("classifier"));
   if (!Family || !Family->servable()) {
     std::fprintf(stderr, "error: --classifier must be one of %s\n",
                  servableClassifierSpellings(", ").c_str());
     return 1;
   }
-  std::string SaveModelPath = Args.getString("save-model", "");
-  std::string LoadModelPath = Args.getString("load-model", "");
+  std::string SaveModelPath = Args.getString("save-model");
+  std::string LoadModelPath = Args.getString("load-model");
 
   std::string Source = SampleProgram;
   if (!Args.positional().empty()) {

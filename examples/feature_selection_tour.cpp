@@ -8,9 +8,6 @@
 // greedy forward selection under the NN and SVM classifiers (Table 4),
 // then shows how a reduced feature set affects LOOCV accuracy.
 //
-// Flags: --full (whole corpus), --bins=<n>, --steps=<n>,
-//        --threads=<n> (parallelism; 1 = serial)
-//
 //===----------------------------------------------------------------------===//
 
 #include "concurrency/ThreadPool.h"
@@ -26,13 +23,26 @@
 using namespace metaopt;
 
 int main(int Argc, char **Argv) {
-  CommandLine Args(Argc, Argv);
+  CliParser Args("feature_selection_tour",
+                 "Section 7's feature selection on a corpus slice: mutual "
+                 "information\nscores and greedy forward selection under NN "
+                 "and SVM.");
+  Args.flag("full", "the whole corpus (default: a slice)");
+  Args.intOption("bins", "n", "equal-frequency bins per feature", 10, 2,
+                 std::numeric_limits<int>::max());
+  Args.intOption("steps", "n", "greedy selection steps", 5, 1, NumFeatures);
+  Args.intOption("threads", "n",
+                 "parallelism (1 = serial; default: METAOPT_THREADS, else "
+                 "hardware concurrency)",
+                 std::nullopt, 1, ThreadPool::MaxThreads);
+  if (std::optional<int> Exit = Args.parse(Argc, Argv))
+    return *Exit;
   bool Full = Args.has("full");
-  int Bins = static_cast<int>(Args.getInt("bins", 10));
-  unsigned Steps = static_cast<unsigned>(Args.getInt("steps", 5));
+  int Bins = static_cast<int>(Args.getInt("bins"));
+  unsigned Steps = static_cast<unsigned>(Args.getInt("steps"));
   if (Args.has("threads"))
     ThreadPool::setGlobalThreads(
-        static_cast<unsigned>(Args.getInt("threads", 0)));
+        static_cast<unsigned>(Args.getInt("threads")));
 
   PipelineOptions Options;
   if (!Full) {

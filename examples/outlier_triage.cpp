@@ -12,8 +12,6 @@
 // neighborhoods are empty or contested - together with the loop body of
 // the worst offender, ready for the engineer's eyeballs.
 //
-// Flags: --full (whole corpus), --threshold=<c>, --show=<n>
-//
 //===----------------------------------------------------------------------===//
 
 #include "core/driver/OutlierTriage.h"
@@ -29,7 +27,15 @@
 using namespace metaopt;
 
 int main(int Argc, char **Argv) {
-  CommandLine Args(Argc, Argv);
+  CliParser Args("outlier_triage",
+                 "Section 5.1's triage tool: lists the loops whose NN "
+                 "neighborhoods are\nempty or contested, worst first.");
+  Args.flag("full", "the whole corpus (default: a slice)");
+  Args.numberOption("threshold", "c",
+                    "vote confidence below which a loop is flagged", 0.5);
+  Args.intOption("show", "n", "flagged loops to list", 12, 0);
+  if (std::optional<int> Exit = Args.parse(Argc, Argv))
+    return *Exit;
   PipelineOptions Options;
   if (!Args.has("full")) {
     Options.Corpus.MinLoopsPerBenchmark = 6;
@@ -39,7 +45,7 @@ int main(int Argc, char **Argv) {
   const Dataset &Data = Pipe.dataset(/*EnableSwp=*/false);
 
   TriageOptions Triage;
-  Triage.ConfidenceThreshold = Args.getDouble("threshold", 0.5);
+  Triage.ConfidenceThreshold = Args.getDouble("threshold");
   TriageReport Report =
       triageOutliers(Data, paperReducedFeatureSet(), Triage);
 
@@ -55,7 +61,7 @@ int main(int Argc, char **Argv) {
               Report.ConfidentAccuracy * 100.0,
               Report.OutlierAccuracy * 100.0);
 
-  size_t Show = static_cast<size_t>(Args.getInt("show", 12));
+  size_t Show = static_cast<size_t>(Args.getInt("show"));
   TablePrinter Table("Lowest-confidence loops (inspect these first)");
   Table.addHeader({"loop", "label", "predicted", "neighbors",
                    "confidence", "miss cost"});

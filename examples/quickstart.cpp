@@ -15,6 +15,7 @@
 #include "ir/Printer.h"
 #include "ir/Verifier.h"
 #include "sim/Simulator.h"
+#include "support/CommandLine.h"
 #include "support/StringUtils.h"
 #include "support/TablePrinter.h"
 #include "transform/Unroller.h"
@@ -23,7 +24,13 @@
 
 using namespace metaopt;
 
-int main() {
+int main(int Argc, char **Argv) {
+  CliParser Cli("quickstart",
+                "Builds a loop, shows its features, unrolls it, and models "
+                "it at\nfactors 1..8.");
+  if (std::optional<int> Exit = Cli.parse(Argc, Argv))
+    return *Exit;
+
   // 1. Build a daxpy-style loop: y[i] = alpha * x[i] + y[i], 1024 times.
   LoopBuilder Builder("daxpy", SourceLanguage::C, /*NestLevel=*/1,
                       /*TripCount=*/1024);

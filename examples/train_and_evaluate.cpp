@@ -6,14 +6,7 @@
 // Runs the paper end to end: build the corpus, label every loop
 // empirically, train the NN and SVM classifiers, report LOOCV accuracy
 // (Table 2 style) and a few whole-benchmark speedups (Figure 4 style).
-//
-// Flags:
-//   --quick            small corpus (fast; default)
-//   --full             the whole 72-benchmark corpus
-//   --swp              enable the software pipelining configuration
-//   --radius=<r>       NN radius (default 0.3)
-//   --threads=<n>      parallelism for labeling/evaluation (1 = serial;
-//                      default: METAOPT_THREADS or hardware concurrency)
+// Without --full it runs on a slice of the corpus.
 //
 //===----------------------------------------------------------------------===//
 
@@ -32,13 +25,25 @@
 using namespace metaopt;
 
 int main(int Argc, char **Argv) {
-  CommandLine Args(Argc, Argv);
+  CliParser Args("train_and_evaluate",
+                 "Runs the paper end to end: label the corpus, train the NN "
+                 "and SVM\nclassifiers, report LOOCV accuracy and "
+                 "whole-benchmark speedups.");
+  Args.flag("full", "the whole 72-benchmark corpus (default: a slice)");
+  Args.flag("swp", "enable the software pipelining configuration");
+  Args.numberOption("radius", "r", "NN radius", 0.3);
+  Args.intOption("threads", "n",
+                 "parallelism for labeling/evaluation (1 = serial; "
+                 "default: METAOPT_THREADS, else hardware concurrency)",
+                 std::nullopt, 1, ThreadPool::MaxThreads);
+  if (std::optional<int> Exit = Args.parse(Argc, Argv))
+    return *Exit;
   bool Full = Args.has("full");
   bool EnableSwp = Args.has("swp");
-  double Radius = Args.getDouble("radius", 0.3);
+  double Radius = Args.getDouble("radius");
   if (Args.has("threads"))
     ThreadPool::setGlobalThreads(
-        static_cast<unsigned>(Args.getInt("threads", 0)));
+        static_cast<unsigned>(Args.getInt("threads")));
 
   PipelineOptions Options;
   if (!Full) {

@@ -201,7 +201,7 @@ unsigned ThreadPool::defaultThreadCount() {
   if (const char *Env = std::getenv("METAOPT_THREADS")) {
     char *End = nullptr;
     long Value = std::strtol(Env, &End, 10);
-    if (End && *End == '\0' && Value >= 1 && Value <= 4096)
+    if (End && *End == '\0' && Value >= 1 && Value <= MaxThreads)
       return static_cast<unsigned>(Value);
   }
   unsigned Hardware = std::thread::hardware_concurrency();

@@ -66,9 +66,13 @@ public:
   /// parallelFor/parallelMap facade in concurrency/Parallel.h.
   void run(size_t Begin, size_t End, const std::function<void(size_t)> &Fn);
 
+  /// The largest parallelism a --threads flag or METAOPT_THREADS may ask
+  /// for; every --threads registration bounds its value by it.
+  static constexpr unsigned MaxThreads = 4096;
+
   /// The --threads / METAOPT_THREADS / hardware-concurrency resolution:
-  /// METAOPT_THREADS (when set to a positive integer) wins, otherwise
-  /// std::thread::hardware_concurrency() (at least 1).
+  /// METAOPT_THREADS (when set to an integer in [1, MaxThreads]) wins,
+  /// otherwise std::thread::hardware_concurrency() (at least 1).
   static unsigned defaultThreadCount();
 
   /// The process-wide pool used when call sites do not pass one. Created

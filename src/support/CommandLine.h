@@ -1,4 +1,4 @@
-//===- support/CommandLine.h - Tiny flag parser -----------------*- C++ -*-===//
+//===- support/CommandLine.h - The flag parser ------------------*- C++ -*-===//
 //
 // Part of the metaopt project, a reproduction of "Predicting Unroll Factors
 // Using Supervised Classification" (Stephenson & Amarasinghe, CGO 2005).
@@ -6,19 +6,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A deliberately small command-line flag parser for the example programs
-/// and benchmark harnesses (--flag and --key=value; "--key value" is
-/// deliberately not supported - it is ambiguous with positionals), plus
-/// CliParser, the declarative front-end the metaopt-* tools share: it
-/// registers the legal options, generates --help, answers --version, and
-/// rejects unknown flags with a non-zero exit instead of silently
-/// ignoring them.
+/// CliParser, the one command-line parser of every tool, bench and example.
+/// Each option is declared once, with its kind, its default and its help,
+/// in the spirit of LLVM's cl::opt. parse() generates --help from those
+/// declarations, answers --version, and rejects an unknown option, a
+/// malformed value or an out-of-range value with a diagnostic and exit 2,
+/// so bad input is never silently absorbed.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef METAOPT_SUPPORT_COMMANDLINE_H
 #define METAOPT_SUPPORT_COMMANDLINE_H
 
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -29,99 +30,103 @@ namespace metaopt {
 /// The project version reported by every tool's --version.
 const char *metaoptVersion();
 
-/// Parses argv into named options and positional arguments.
-///
-/// "--key=value" binds a value; a bare "--flag" binds the empty string
-/// (test with has()). Everything else is positional.
-class CommandLine {
-public:
-  CommandLine(int Argc, const char *const *Argv);
-
-  /// Returns true if the option was present (with or without a value).
-  bool has(const std::string &Key) const;
-
-  /// Returns the option's string value or \p Default when absent.
-  std::string getString(const std::string &Key,
-                        const std::string &Default = "") const;
-
-  /// Returns the option parsed as integer, or \p Default when absent or
-  /// malformed.
-  int64_t getInt(const std::string &Key, int64_t Default) const;
-
-  /// Returns the option parsed as double, or \p Default when absent or
-  /// malformed.
-  double getDouble(const std::string &Key, double Default) const;
-
-  const std::vector<std::string> &positional() const { return Positional; }
-  const std::string &programName() const { return ProgramName; }
-
-private:
-  std::string ProgramName;
-  std::map<std::string, std::string> Options;
-  std::vector<std::string> Positional;
-};
-
-/// Declarative command-line front-end for the metaopt-* tools.
+/// Declarative command-line front-end.
 ///
 /// Usage:
 ///   CliParser Cli("metaopt-foo", "one-line summary");
 ///   Cli.flag("corpus", "sweep the built-in corpus");
-///   Cli.option("threads", "n", "worker threads");
+///   Cli.intOption("bins", "n", "histogram bins", 10, 1, 1000);
 ///   Cli.positionalHelp("<file.loop> ...", "loop files to process");
 ///   if (std::optional<int> Exit = Cli.parse(Argc, Argv))
 ///     return *Exit;
+///   int64_t Bins = Cli.getInt("bins"); // validated, or the default 10
 ///
-/// parse() handles --help/-h and --version itself (exit 0) and rejects
-/// any option that was not registered (error + usage to stderr, exit 2),
-/// so a typo like --treads=4 can never be silently ignored. After a
-/// successful parse the CommandLine accessors (has/getString/getInt/
-/// getDouble/positional) answer queries.
+/// The syntax is "--flag" and "--key=value"; everything else is
+/// positional. "--key value" is deliberately not supported: it is
+/// ambiguous with a following positional ("--orc file.loop").
+///
+/// parse() handles --help/-h and --version itself (exit 0) and rejects any
+/// option that was not registered, a value option without a value, a flag
+/// with one, and a value its kind or bounds do not admit (error to stderr,
+/// exit 2), so a typo like --treads=4 or --bins=abc never runs.
 class CliParser {
 public:
   CliParser(std::string Tool, std::string Summary);
 
-  /// Registers a boolean flag (--name).
-  void flag(const std::string &Name, const std::string &Help);
+  /// Registers a boolean flag (--name); test it with has().
+  void flag(std::string Name, std::string Help);
 
-  /// Registers a value option (--name=<value>).
-  void option(const std::string &Name, const std::string &ValueName,
-              const std::string &Help);
+  /// Registers a string option (--name=<ValueName>). getString() returns
+  /// \p Default when the option is absent; --help shows a non-empty one.
+  void stringOption(std::string Name, std::string ValueName,
+                    std::string Help, std::string Default = "");
+
+  /// Registers an integer option whose value must lie in the inclusive
+  /// range [\p Min, \p Max]. Without a \p Default, test has() before
+  /// getInt().
+  void intOption(std::string Name, std::string ValueName, std::string Help,
+                 std::optional<int64_t> Default,
+                 int64_t Min = std::numeric_limits<int64_t>::min(),
+                 int64_t Max = std::numeric_limits<int64_t>::max());
+
+  /// Registers a finite floating-point option. Without a \p Default, test
+  /// has() before getDouble().
+  void numberOption(std::string Name, std::string ValueName,
+                    std::string Help, std::optional<double> Default);
 
   /// Describes the positional arguments in the usage line (help only;
   /// positionals are always accepted).
   void positionalHelp(std::string Placeholder, std::string Help);
 
-  /// Parses argv. Returns the process exit code when the tool should stop
-  /// (0 after --help/--version, 2 on an unknown or malformed option) and
-  /// std::nullopt when parsing succeeded and the tool should run.
+  /// Parses argv. Returns the process exit code when the program should
+  /// stop (0 after --help/--version, 2 on a bad option or value) and
+  /// std::nullopt when parsing succeeded and the program should run.
   std::optional<int> parse(int Argc, const char *const *Argv);
 
-  /// Renders the generated usage/help text.
+  /// Renders the generated usage/help text, defaults included.
   std::string usage() const;
 
-  const std::string &tool() const { return Tool; }
+  const std::string &summary() const { return Summary; }
 
-  // Query interface; valid after a successful parse().
-  bool has(const std::string &Key) const;
-  std::string getString(const std::string &Key,
-                        const std::string &Default = "") const;
-  int64_t getInt(const std::string &Key, int64_t Default) const;
-  double getDouble(const std::string &Key, double Default) const;
-  const std::vector<std::string> &positional() const;
+  // Queries; valid after a successful parse(). Asking for a name that was
+  // never registered, or with the getter of another kind, aborts: it is a
+  // bug in the program, not in its input.
+
+  /// True when the option was given on the command line.
+  bool has(const std::string &Name) const;
+  /// The given value, or the registered default.
+  std::string getString(const std::string &Name) const;
+  int64_t getInt(const std::string &Name) const;
+  double getDouble(const std::string &Name) const;
+  const std::vector<std::string> &positional() const { return Positional; }
 
 private:
+  enum class Kind { Flag, String, Int, Number };
+
   struct OptionSpec {
     std::string Name;
-    std::string ValueName; ///< "" for boolean flags.
+    Kind TheKind;
+    std::string ValueName; ///< "" for flags.
     std::string Help;
+    std::optional<std::string> Default; ///< Spelled as on the command line.
+    int64_t Min = 0, Max = 0;            ///< Integer bounds, inclusive.
   };
+
+  void add(OptionSpec Spec);
+  const OptionSpec *find(const std::string &Name) const;
+  /// The given or default spelling of a value option of kind \p K.
+  const std::string &valueOf(const std::string &Name, Kind K) const;
+  /// Diagnoses \p Value for \p Spec; "" when it is admitted.
+  std::string checkValue(const OptionSpec &Spec,
+                         const std::string &Value) const;
 
   std::string Tool;
   std::string Summary;
   std::string PositionalPlaceholder;
   std::string PositionalHelp;
   std::vector<OptionSpec> Specs;
-  std::optional<CommandLine> Parsed;
+  std::map<std::string, std::string> Given;
+  std::vector<std::string> Positional;
 };
 
 } // namespace metaopt

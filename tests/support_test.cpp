@@ -5,7 +5,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "support/CommandLine.h"
 #include "support/Csv.h"
 #include "support/Rng.h"
 #include "support/Statistics.h"
@@ -366,123 +365,4 @@ TEST(CsvTest, WriteToFileRoundTrips) {
   size_t Read = std::fread(Buffer, 1, sizeof(Buffer) - 1, File);
   std::fclose(File);
   EXPECT_EQ(std::string(Buffer, Read), "x,y\n");
-}
-
-//===----------------------------------------------------------------------===//
-// CommandLine
-//===----------------------------------------------------------------------===//
-
-TEST(CommandLineTest, ParsesAllForms) {
-  const char *Argv[] = {"prog", "--alpha=3", "--flag", "positional"};
-  CommandLine Args(4, Argv);
-  EXPECT_EQ(Args.getInt("alpha", 0), 3);
-  EXPECT_TRUE(Args.has("flag"));
-  ASSERT_EQ(Args.positional().size(), 1u);
-  EXPECT_EQ(Args.positional()[0], "positional");
-}
-
-TEST(CommandLineTest, BareFlagNeverSwallowsPositionals) {
-  // The regression that motivated dropping "--key value": a file name
-  // after a boolean flag must stay positional.
-  const char *Argv[] = {"prog", "--orc", "sample.loop"};
-  CommandLine Args(3, Argv);
-  EXPECT_TRUE(Args.has("orc"));
-  ASSERT_EQ(Args.positional().size(), 1u);
-  EXPECT_EQ(Args.positional()[0], "sample.loop");
-}
-
-TEST(CommandLineTest, DefaultsOnMissingOrMalformed) {
-  const char *Argv[] = {"prog", "--num=abc"};
-  CommandLine Args(2, Argv);
-  EXPECT_EQ(Args.getInt("num", 5), 5);
-  EXPECT_EQ(Args.getInt("absent", -1), -1);
-  EXPECT_DOUBLE_EQ(Args.getDouble("absent", 2.5), 2.5);
-  EXPECT_EQ(Args.getString("absent", "d"), "d");
-}
-
-TEST(CommandLineTest, FlagFollowedByOption) {
-  const char *Argv[] = {"prog", "--flag", "--key=v"};
-  CommandLine Args(3, Argv);
-  EXPECT_TRUE(Args.has("flag"));
-  EXPECT_EQ(Args.getString("flag"), "");
-  EXPECT_EQ(Args.getString("key"), "v");
-}
-
-//===----------------------------------------------------------------------===//
-// CliParser
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-CliParser makeToolCli() {
-  CliParser Cli("metaopt-tool", "does tool things");
-  Cli.flag("verbose", "print more");
-  Cli.option("threads", "n", "worker threads");
-  Cli.option("out", "path", "output file");
-  Cli.positionalHelp("[<file> ...]", "inputs");
-  return Cli;
-}
-
-} // namespace
-
-TEST(CliParserTest, SuccessfulParseAnswersQueries) {
-  CliParser Cli = makeToolCli();
-  const char *Argv[] = {"metaopt-tool", "--verbose", "--threads=8",
-                        "--out=x.bundle", "a.loop", "b.loop"};
-  EXPECT_EQ(Cli.parse(6, Argv), std::nullopt);
-  EXPECT_TRUE(Cli.has("verbose"));
-  EXPECT_EQ(Cli.getInt("threads", 1), 8);
-  EXPECT_EQ(Cli.getString("out"), "x.bundle");
-  ASSERT_EQ(Cli.positional().size(), 2u);
-  EXPECT_EQ(Cli.positional()[0], "a.loop");
-  EXPECT_EQ(Cli.positional()[1], "b.loop");
-}
-
-TEST(CliParserTest, RejectsUnknownOptionsWithUsageExit) {
-  // A typo must produce exit code 2, never run with the option ignored.
-  CliParser Cli = makeToolCli();
-  const char *Argv[] = {"metaopt-tool", "--treads=8"};
-  EXPECT_EQ(Cli.parse(2, Argv), std::optional<int>(2));
-}
-
-TEST(CliParserTest, HelpAndVersionExitZero) {
-  {
-    CliParser Cli = makeToolCli();
-    const char *Argv[] = {"metaopt-tool", "--help"};
-    EXPECT_EQ(Cli.parse(2, Argv), std::optional<int>(0));
-  }
-  {
-    CliParser Cli = makeToolCli();
-    const char *Argv[] = {"metaopt-tool", "-h"};
-    EXPECT_EQ(Cli.parse(2, Argv), std::optional<int>(0));
-  }
-  {
-    CliParser Cli = makeToolCli();
-    const char *Argv[] = {"metaopt-tool", "--version"};
-    EXPECT_EQ(Cli.parse(2, Argv), std::optional<int>(0));
-  }
-}
-
-TEST(CliParserTest, UsageListsEveryRegisteredOption) {
-  CliParser Cli = makeToolCli();
-  std::string Usage = Cli.usage();
-  EXPECT_NE(Usage.find("--verbose"), std::string::npos);
-  EXPECT_NE(Usage.find("--threads=<n>"), std::string::npos);
-  EXPECT_NE(Usage.find("--out=<path>"), std::string::npos);
-  EXPECT_NE(Usage.find("metaopt-tool"), std::string::npos);
-  EXPECT_NE(Usage.find("[<file> ...]"), std::string::npos);
-  // Every tool also answers --help/--version without registering them.
-  EXPECT_NE(Usage.find("--help"), std::string::npos);
-  EXPECT_NE(Usage.find("--version"), std::string::npos);
-}
-
-TEST(CliParserTest, VersionStringIsSane) {
-  // Tools embed metaoptVersion() in bundles (CreatedBy) and the serving
-  // health response, so it must stay a dotted triple.
-  std::string Version = metaoptVersion();
-  int Major = 0, Minor = 0, Patch = 0;
-  EXPECT_EQ(std::sscanf(Version.c_str(), "%d.%d.%d", &Major, &Minor,
-                        &Patch),
-            3)
-      << Version;
 }

@@ -163,7 +163,7 @@ int main(int Argc, char **Argv) {
                 "Validates newline-delimited flat-JSON bench rows "
                 "(BENCH_*.json):\nschema per experiment, byte-identity "
                 "flags, and floors (docs/TESTING.md).");
-  Cli.option("floor", "file", "flat-JSON floor rows to enforce");
+  Cli.stringOption("floor", "file", "flat-JSON floor rows to enforce");
   Cli.positionalHelp("<bench.json>", "bench trajectory file to validate");
   if (std::optional<int> Exit = Cli.parse(Argc, Argv))
     return *Exit;

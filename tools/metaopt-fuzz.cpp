@@ -40,7 +40,7 @@ int replay(const CliParser &Cli) {
     return 2;
   }
   OracleOptions Oracle;
-  Oracle.Seed = static_cast<uint64_t>(Cli.getInt("seed", 1));
+  Oracle.Seed = static_cast<uint64_t>(Cli.getInt("seed"));
   bool AnyFailed = false;
   for (const std::string &Path : Cli.positional()) {
     std::ifstream In(Path);
@@ -73,11 +73,16 @@ int main(int Argc, char **Argv) {
                 "schedule validators,\nthe simulation cache, and the model "
                 "bundle codec; failures shrink\nto minimized .loop "
                 "reproducers.");
-  Cli.option("seed", "N", "campaign master seed (default 1)");
-  Cli.option("iterations", "N", "loops to generate (default 500)");
-  Cli.option("threads", "N", "worker threads (default: hardware)");
-  Cli.option("out-dir", "dir", "write minimized reproducers here");
-  Cli.option("max-fragments", "N", "fragments per generated loop");
+  Cli.intOption("seed", "N", "campaign master seed", 1);
+  Cli.intOption("iterations", "N", "loops to generate", 500, 0);
+  Cli.intOption("threads", "N",
+                "worker threads (default: METAOPT_THREADS, else hardware "
+                "concurrency)",
+                std::nullopt, 1, ThreadPool::MaxThreads);
+  Cli.stringOption("out-dir", "dir", "write minimized reproducers here");
+  Cli.intOption("max-fragments", "N", "fragments per generated loop",
+                FuzzGenOptions().MaxFragments, 1,
+                std::numeric_limits<unsigned>::max());
   Cli.flag("no-shrink", "report unminimized failing loops");
   Cli.flag("replay", "treat positionals as .loop files to recheck");
   Cli.positionalHelp("[<file.loop>...]", "reproducers for --replay");
@@ -86,18 +91,17 @@ int main(int Argc, char **Argv) {
 
   if (Cli.has("threads"))
     ThreadPool::setGlobalThreads(
-        static_cast<unsigned>(Cli.getInt("threads", 0)));
+        static_cast<unsigned>(Cli.getInt("threads")));
 
   if (Cli.has("replay"))
     return replay(Cli);
 
   FuzzCampaignOptions Options;
-  Options.Seed = static_cast<uint64_t>(Cli.getInt("seed", 1));
-  Options.Iterations = static_cast<uint64_t>(Cli.getInt("iterations", 500));
+  Options.Seed = static_cast<uint64_t>(Cli.getInt("seed"));
+  Options.Iterations = static_cast<uint64_t>(Cli.getInt("iterations"));
   Options.Shrink = !Cli.has("no-shrink");
-  if (Cli.has("max-fragments"))
-    Options.Gen.MaxFragments =
-        static_cast<unsigned>(Cli.getInt("max-fragments", 5));
+  Options.Gen.MaxFragments =
+      static_cast<unsigned>(Cli.getInt("max-fragments"));
 
   FuzzCampaignResult Result = runFuzzCampaign(Options);
   std::fputs(Result.Log.c_str(), stdout);

@@ -51,41 +51,42 @@ int main(int Argc, char **Argv) {
                 "Fronts N metaopt-serve workers behind one endpoint, "
                 "sharding predict\nrequests by consistent hashing on the "
                 "loop fingerprint (docs/SERVING.md).");
-  Cli.option("backends", "addr,addr,...",
-             "comma-separated worker addresses: unix socket paths or "
-             "host:port (required)");
-  Cli.option("socket", "path", "unix-domain socket path to listen on");
-  Cli.option("tcp-port", "port",
-             "TCP port to listen on (0 = ephemeral; default: off)");
-  Cli.option("tcp-host", "host", "TCP bind address (default: 127.0.0.1)");
-  Cli.option("vnodes", "n",
-             "virtual ring points per backend (default: 64)");
-  Cli.option("health-interval-ms", "ms",
-             "background health-probe cadence (default: 1000)");
-  Cli.option("backend-timeout-ms", "ms",
-             "per-request I/O bound against one backend (default: 5000)");
-  Cli.option("max-inflight", "n",
-             "admission limit on concurrently proxied predicts; beyond "
-             "it requests are refused with status overloaded "
-             "(default: 256)");
-  Cli.option("max-request-bytes", "n",
-             "reject request lines longer than n bytes "
-             "(default: 1048576)");
-  Cli.option("read-timeout-ms", "ms",
-             "close a connection stalled mid-frame after ms "
-             "(0 = never; default: 0)");
-  Cli.option("write-timeout-ms", "ms",
-             "close a connection that will not read its responses "
-             "after ms (default: 5000)");
-  Cli.option("drain-ms", "ms",
-             "shutdown grace for open connections (default: 5000)");
+  Cli.stringOption("backends", "addr,addr,...",
+                   "comma-separated worker addresses: unix socket paths or "
+                   "host:port (required)");
+  Cli.stringOption("socket", "path", "unix-domain socket path to listen on");
+  Cli.intOption("tcp-port", "port",
+                "TCP port to listen on (0 = ephemeral, negative = off)", -1,
+                std::numeric_limits<int>::min(), 65535);
+  Cli.stringOption("tcp-host", "host", "TCP bind address", "127.0.0.1");
+  Cli.intOption("vnodes", "n", "virtual ring points per backend", 64, 1,
+                std::numeric_limits<unsigned>::max());
+  Cli.intOption("health-interval-ms", "ms",
+                "background health-probe cadence", 1000, 1);
+  Cli.intOption("backend-timeout-ms", "ms",
+                "per-request I/O bound against one backend", 5000, 0);
+  Cli.intOption("max-inflight", "n",
+                "admission limit on concurrently proxied predicts; beyond "
+                "it requests are refused with status overloaded",
+                256, 1);
+  Cli.intOption("max-request-bytes", "n",
+                "reject request lines longer than n bytes", 1 << 20, 1);
+  Cli.intOption("read-timeout-ms", "ms",
+                "close a connection stalled mid-frame after ms (0 = never)",
+                0, 0);
+  Cli.intOption("write-timeout-ms", "ms",
+                "close a connection that will not read its responses "
+                "after ms",
+                5000, 0);
+  Cli.intOption("drain-ms", "ms", "shutdown grace for open connections",
+                5000, 0);
   if (std::optional<int> Exit = Cli.parse(Argc, Argv))
     return *Exit;
 
   std::vector<std::string> Backends =
       splitCsv(Cli.getString("backends"));
   std::string SocketPath = Cli.getString("socket");
-  int64_t TcpPort = Cli.has("tcp-port") ? Cli.getInt("tcp-port", -1) : -1;
+  int64_t TcpPort = Cli.getInt("tcp-port");
   if (Backends.empty() || (SocketPath.empty() && TcpPort < 0)) {
     std::fprintf(stderr,
                  "metaopt-gateway: --backends and a listener (--socket "
@@ -94,34 +95,24 @@ int main(int Argc, char **Argv) {
     return 2;
   }
 
-  int64_t Vnodes = Cli.getInt("vnodes", 64);
-  int64_t HealthMs = Cli.getInt("health-interval-ms", 1000);
-  int64_t BackendTimeoutMs = Cli.getInt("backend-timeout-ms", 5000);
-  int64_t MaxInFlight = Cli.getInt("max-inflight", 256);
-  int64_t MaxRequestBytes = Cli.getInt("max-request-bytes", 1 << 20);
-  int64_t ReadTimeoutMs = Cli.getInt("read-timeout-ms", 0);
-  int64_t WriteTimeoutMs = Cli.getInt("write-timeout-ms", 5000);
-  int64_t DrainMs = Cli.getInt("drain-ms", 5000);
-  if (Vnodes < 1 || HealthMs < 1 || BackendTimeoutMs < 0 ||
-      MaxInFlight < 1 || MaxRequestBytes < 1 || ReadTimeoutMs < 0 ||
-      WriteTimeoutMs < 0 || DrainMs < 0 || TcpPort > 65535) {
-    std::fprintf(stderr, "metaopt-gateway: bad tuning option\n");
-    return 2;
-  }
-
   GatewayOptions Options;
   Options.SocketPath = SocketPath;
-  Options.TcpHost = Cli.getString("tcp-host", "127.0.0.1");
+  Options.TcpHost = Cli.getString("tcp-host");
   Options.TcpPort = static_cast<int>(TcpPort);
   Options.Backends = Backends;
-  Options.VirtualNodes = static_cast<unsigned>(Vnodes);
-  Options.HealthInterval = std::chrono::milliseconds(HealthMs);
-  Options.BackendIoTimeout = std::chrono::milliseconds(BackendTimeoutMs);
-  Options.MaxInFlight = static_cast<size_t>(MaxInFlight);
-  Options.MaxRequestBytes = static_cast<size_t>(MaxRequestBytes);
-  Options.ReadTimeout = std::chrono::milliseconds(ReadTimeoutMs);
-  Options.WriteTimeout = std::chrono::milliseconds(WriteTimeoutMs);
-  Options.DrainTimeout = std::chrono::milliseconds(DrainMs);
+  Options.VirtualNodes = static_cast<unsigned>(Cli.getInt("vnodes"));
+  Options.HealthInterval =
+      std::chrono::milliseconds(Cli.getInt("health-interval-ms"));
+  Options.BackendIoTimeout =
+      std::chrono::milliseconds(Cli.getInt("backend-timeout-ms"));
+  Options.MaxInFlight = static_cast<size_t>(Cli.getInt("max-inflight"));
+  Options.MaxRequestBytes =
+      static_cast<size_t>(Cli.getInt("max-request-bytes"));
+  Options.ReadTimeout =
+      std::chrono::milliseconds(Cli.getInt("read-timeout-ms"));
+  Options.WriteTimeout =
+      std::chrono::milliseconds(Cli.getInt("write-timeout-ms"));
+  Options.DrainTimeout = std::chrono::milliseconds(Cli.getInt("drain-ms"));
 
   std::signal(SIGTERM, onStopSignal);
   std::signal(SIGINT, onStopSignal);

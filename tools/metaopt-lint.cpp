@@ -168,17 +168,18 @@ int main(int Argc, char **Argv) {
                 "engine (docs/DIAGNOSTICS.md).");
   Cli.flag("corpus", "sweep every loop of the built-in corpus");
   Cli.flag("json", "emit JSON lines instead of text");
-  Cli.option("passes", "ids",
-             "run only the listed passes (comma-separated IDs or "
-             "prefixes, e.g. L001,L007)");
+  Cli.stringOption("passes", "ids",
+                   "run only the listed passes (comma-separated IDs or "
+                   "prefixes, e.g. L001,L007)");
   Cli.flag("no-verifier", "omit verifier (V###) diagnostics from reports");
-  Cli.option("threads", "n",
-             "worker threads (default: METAOPT_THREADS, else hardware "
-             "concurrency)");
+  Cli.intOption("threads", "n",
+                "worker threads (default: METAOPT_THREADS, else hardware "
+                "concurrency)",
+                std::nullopt, 1, ThreadPool::MaxThreads);
   Cli.flag("list-passes", "print the pass registry and exit");
-  Cli.option("explain", "id",
-             "print the catalog entry for a diagnostic ID (any family: "
-             "V/L/A/X/I) and exit");
+  Cli.stringOption("explain", "id",
+                   "print the catalog entry for a diagnostic ID (any "
+                   "family: V/L/A/X/I) and exit");
   Cli.positionalHelp("[<file.loop|file.mloop> ...]",
                      "loop files to lint (.mloop files are imported "
                      "first, see docs/IMPORT.md)");
@@ -215,14 +216,9 @@ int main(int Argc, char **Argv) {
       return 2;
     }
   }
-  if (Cli.has("threads")) {
-    int64_t Threads = Cli.getInt("threads", 0);
-    if (Threads < 1) {
-      std::cerr << "metaopt-lint: --threads requires a positive integer\n";
-      return 2;
-    }
-    ThreadPool::setGlobalThreads(static_cast<unsigned>(Threads));
-  }
+  if (Cli.has("threads"))
+    ThreadPool::setGlobalThreads(
+        static_cast<unsigned>(Cli.getInt("threads")));
 
   if (Options.Corpus && !Options.Files.empty()) {
     std::cerr << "metaopt-lint: --corpus and input files are exclusive\n";

@@ -72,13 +72,15 @@ int main(int Argc, char **Argv) {
                 "Queries a running metaopt-serve daemon: predicts unroll "
                 "factors for\nloop files, or sends a health / stats / "
                 "shutdown request.");
-  Cli.option("socket", "addr",
-             "daemon address: unix socket path or host:port "
-             "(worker or gateway; required)");
+  Cli.stringOption("socket", "addr",
+                   "daemon address: unix socket path or host:port "
+                   "(worker or gateway; required)");
   Cli.flag("scores", "request per-factor scores with each prediction");
-  Cli.option("deadline-ms", "ms", "per-request deadline (default: none)");
-  Cli.option("connect-timeout-ms", "ms",
-             "how long to wait for the daemon socket (default: 2000)");
+  Cli.intOption("deadline-ms", "ms", "per-request deadline (0 = none)", 0,
+                0);
+  Cli.intOption("connect-timeout-ms", "ms",
+                "how long to wait for the daemon socket", 2000, 0,
+                std::numeric_limits<int>::max());
   Cli.flag("json", "print the daemon's response lines verbatim");
   Cli.flag("health", "send a health request instead of predictions");
   Cli.flag("stats", "send a stats request instead of predictions");
@@ -94,12 +96,7 @@ int main(int Argc, char **Argv) {
                  Cli.usage().c_str());
     return 2;
   }
-  int64_t DeadlineMs = Cli.getInt("deadline-ms", 0);
-  if (DeadlineMs < 0) {
-    std::fprintf(stderr,
-                 "metaopt-predict: --deadline-ms must be non-negative\n");
-    return 2;
-  }
+  int64_t DeadlineMs = Cli.getInt("deadline-ms");
   bool Json = Cli.has("json");
   int Admin = (Cli.has("health") ? 1 : 0) + (Cli.has("stats") ? 1 : 0) +
               (Cli.has("shutdown") ? 1 : 0);
@@ -117,8 +114,7 @@ int main(int Argc, char **Argv) {
 
   ServeClient Client;
   std::string Error;
-  int TimeoutMs =
-      static_cast<int>(Cli.getInt("connect-timeout-ms", 2000));
+  int TimeoutMs = static_cast<int>(Cli.getInt("connect-timeout-ms"));
   if (!Client.connectWithRetry(SocketPath, TimeoutMs, &Error)) {
     std::fprintf(stderr, "metaopt-predict: %s\n", Error.c_str());
     return 1;

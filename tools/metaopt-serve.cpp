@@ -36,43 +36,45 @@ int main(int Argc, char **Argv) {
                 "Serves unroll-factor predictions from a trained model "
                 "bundle over a\nunix-domain socket speaking "
                 "line-delimited JSON (docs/SERVING.md).");
-  Cli.option("bundle", "bundle.bin",
-             "model bundle to serve (required; see metaopt-train)");
-  Cli.option("socket", "path",
-             "unix-domain socket path to listen on");
-  Cli.option("tcp-port", "port",
-             "TCP port to listen on (0 = ephemeral; default: off)");
-  Cli.option("tcp-host", "host",
-             "TCP bind address (default: 127.0.0.1)");
-  Cli.option("reload-poll-ms", "ms",
-             "watch the bundle file and hot-reload on change, polling "
-             "every ms (0 = off; default: 0)");
-  Cli.option("max-request-bytes", "n",
-             "reject request lines longer than n bytes "
-             "(default: 1048576)");
-  Cli.option("read-timeout-ms", "ms",
-             "close a connection stalled mid-frame after ms "
-             "(0 = never; default: 0)");
-  Cli.option("write-timeout-ms", "ms",
-             "close a connection that will not read its responses "
-             "after ms (default: 5000)");
-  Cli.option("batch-max", "n", "max requests per batch (default: 16)");
-  Cli.option("queue-max", "n",
-             "admission-queue capacity; beyond it requests are refused "
-             "with status overloaded (default: 1024)");
-  Cli.option("linger-us", "us",
-             "how long a batch waits for stragglers (default: 200)");
-  Cli.option("drain-ms", "ms",
-             "shutdown grace for open connections (default: 5000)");
-  Cli.option("threads", "n",
-             "prediction worker threads (default: METAOPT_THREADS, else "
-             "hardware concurrency)");
+  Cli.stringOption("bundle", "bundle.bin",
+                   "model bundle to serve (required; see metaopt-train)");
+  Cli.stringOption("socket", "path", "unix-domain socket path to listen on");
+  Cli.intOption("tcp-port", "port",
+                "TCP port to listen on (0 = ephemeral, negative = off)", -1,
+                std::numeric_limits<int>::min(), 65535);
+  Cli.stringOption("tcp-host", "host", "TCP bind address", "127.0.0.1");
+  Cli.intOption("reload-poll-ms", "ms",
+                "watch the bundle file and hot-reload on change, polling "
+                "every ms (0 = off)",
+                0, 0);
+  Cli.intOption("max-request-bytes", "n",
+                "reject request lines longer than n bytes", 1 << 20, 1);
+  Cli.intOption("read-timeout-ms", "ms",
+                "close a connection stalled mid-frame after ms (0 = never)",
+                0, 0);
+  Cli.intOption("write-timeout-ms", "ms",
+                "close a connection that will not read its responses "
+                "after ms",
+                5000, 0);
+  Cli.intOption("batch-max", "n", "max requests per batch", 16, 1);
+  Cli.intOption("queue-max", "n",
+                "admission-queue capacity; beyond it requests are refused "
+                "with status overloaded",
+                1024, 1);
+  Cli.intOption("linger-us", "us", "how long a batch waits for stragglers",
+                200, 0);
+  Cli.intOption("drain-ms", "ms", "shutdown grace for open connections",
+                5000, 0);
+  Cli.intOption("threads", "n",
+                "prediction worker threads (default: METAOPT_THREADS, else "
+                "hardware concurrency)",
+                std::nullopt, 1, ThreadPool::MaxThreads);
   if (std::optional<int> Exit = Cli.parse(Argc, Argv))
     return *Exit;
 
   std::string BundlePath = Cli.getString("bundle");
   std::string SocketPath = Cli.getString("socket");
-  int64_t TcpPort = Cli.has("tcp-port") ? Cli.getInt("tcp-port", -1) : -1;
+  int64_t TcpPort = Cli.getInt("tcp-port");
   if (BundlePath.empty() || (SocketPath.empty() && TcpPort < 0)) {
     std::fprintf(stderr,
                  "metaopt-serve: --bundle and a listener (--socket "
@@ -80,29 +82,9 @@ int main(int Argc, char **Argv) {
                  Cli.usage().c_str());
     return 2;
   }
-  int64_t BatchMax = Cli.getInt("batch-max", 16);
-  int64_t QueueMax = Cli.getInt("queue-max", 1024);
-  int64_t LingerUs = Cli.getInt("linger-us", 200);
-  int64_t DrainMs = Cli.getInt("drain-ms", 5000);
-  int64_t ReloadPollMs = Cli.getInt("reload-poll-ms", 0);
-  int64_t MaxRequestBytes = Cli.getInt("max-request-bytes", 1 << 20);
-  int64_t ReadTimeoutMs = Cli.getInt("read-timeout-ms", 0);
-  int64_t WriteTimeoutMs = Cli.getInt("write-timeout-ms", 5000);
-  if (BatchMax < 1 || QueueMax < 1 || LingerUs < 0 || DrainMs < 0 ||
-      ReloadPollMs < 0 || MaxRequestBytes < 1 || ReadTimeoutMs < 0 ||
-      WriteTimeoutMs < 0 || TcpPort > 65535) {
-    std::fprintf(stderr, "metaopt-serve: bad tuning option\n");
-    return 2;
-  }
-  if (Cli.has("threads")) {
-    int64_t Threads = Cli.getInt("threads", 0);
-    if (Threads < 1) {
-      std::fprintf(stderr,
-                   "metaopt-serve: --threads requires a positive integer\n");
-      return 2;
-    }
-    ThreadPool::setGlobalThreads(static_cast<unsigned>(Threads));
-  }
+  if (Cli.has("threads"))
+    ThreadPool::setGlobalThreads(
+        static_cast<unsigned>(Cli.getInt("threads")));
 
   std::string Error;
   std::optional<ModelBundle> Bundle = loadBundleFile(BundlePath, &Error);
@@ -114,16 +96,20 @@ int main(int Argc, char **Argv) {
 
   ServerOptions Options;
   Options.SocketPath = SocketPath;
-  Options.TcpHost = Cli.getString("tcp-host", "127.0.0.1");
+  Options.TcpHost = Cli.getString("tcp-host");
   Options.TcpPort = static_cast<int>(TcpPort);
-  Options.Service.MaxBatch = static_cast<size_t>(BatchMax);
-  Options.Service.MaxQueue = static_cast<size_t>(QueueMax);
-  Options.Service.BatchLinger = std::chrono::microseconds(LingerUs);
-  Options.DrainTimeout = std::chrono::milliseconds(DrainMs);
-  Options.MaxRequestBytes = static_cast<size_t>(MaxRequestBytes);
-  Options.ReadTimeout = std::chrono::milliseconds(ReadTimeoutMs);
-  Options.WriteTimeout = std::chrono::milliseconds(WriteTimeoutMs);
-  if (ReloadPollMs > 0) {
+  Options.Service.MaxBatch = static_cast<size_t>(Cli.getInt("batch-max"));
+  Options.Service.MaxQueue = static_cast<size_t>(Cli.getInt("queue-max"));
+  Options.Service.BatchLinger =
+      std::chrono::microseconds(Cli.getInt("linger-us"));
+  Options.DrainTimeout = std::chrono::milliseconds(Cli.getInt("drain-ms"));
+  Options.MaxRequestBytes =
+      static_cast<size_t>(Cli.getInt("max-request-bytes"));
+  Options.ReadTimeout =
+      std::chrono::milliseconds(Cli.getInt("read-timeout-ms"));
+  Options.WriteTimeout =
+      std::chrono::milliseconds(Cli.getInt("write-timeout-ms"));
+  if (int64_t ReloadPollMs = Cli.getInt("reload-poll-ms"); ReloadPollMs > 0) {
     Options.BundlePath = BundlePath;
     Options.ReloadPoll = std::chrono::milliseconds(ReloadPollMs);
   }

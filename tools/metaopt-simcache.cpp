@@ -30,7 +30,7 @@ int main(int Argc, char **Argv) {
                 "Validates and describes persistent simulation-cache "
                 "files\n(cache/SimCache.h): magic, version, entry count, "
                 "payload checksum.");
-  Cli.option("dir", "cache-dir", "inspect <cache-dir>/sim_cache.bin");
+  Cli.stringOption("dir", "cache-dir", "inspect <cache-dir>/sim_cache.bin");
   Cli.positionalHelp("[<file.bin>]", "cache file to inspect");
   if (std::optional<int> Exit = Cli.parse(Argc, Argv))
     return *Exit;

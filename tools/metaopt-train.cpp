@@ -64,29 +64,31 @@ int main(int Argc, char **Argv) {
                 "Trains an unroll-factor classifier on the built-in "
                 "corpus and publishes\nit as a model bundle for "
                 "metaopt-serve (docs/SERVING.md).");
-  Cli.option("out", "bundle.bin", "where to publish the bundle (required)");
-  const char *DefaultClassifier = classifierFamilies().front().spelling();
-  Cli.option("classifier", servableClassifierSpellings("|"),
-             std::string("classifier to train (default: ") +
-                 DefaultClassifier + ")");
+  Cli.stringOption("out", "bundle.bin",
+                   "where to publish the bundle (required)");
+  Cli.stringOption("classifier", servableClassifierSpellings("|"),
+                   "classifier to train",
+                   classifierFamilies().front().spelling());
   Cli.flag("swp", "label with software pipelining enabled (Figure 5)");
-  Cli.option("features", "paper|full",
-             "feature subset (default: paper, the reduced Section 6 set)");
-  Cli.option("cv", "loocv|none",
-             "cross-validation recorded in the provenance (default: "
-             "loocv)");
-  Cli.option("corpus-min", "n",
-             "min loops per benchmark (default: 6; the full corpus uses "
-             "30)");
-  Cli.option("corpus-max", "n",
-             "max loops per benchmark (default: 10; the full corpus uses "
-             "55)");
-  Cli.option("cache-dir", "dir",
-             "persist the simulation cache under <dir>; a rerun replays "
-             "its simulations (default: METAOPT_CACHE_DIR, else memory only)");
-  Cli.option("threads", "n",
-             "worker threads (default: METAOPT_THREADS, else hardware "
-             "concurrency)");
+  Cli.stringOption("features", "paper|full",
+                   "feature subset (paper is the reduced Section 6 set)",
+                   "paper");
+  Cli.stringOption("cv", "loocv|none",
+                   "cross-validation recorded in the provenance", "loocv");
+  Cli.intOption("corpus-min", "n",
+                "min loops per benchmark (the full corpus uses 30)", 6, 1,
+                std::numeric_limits<int>::max());
+  Cli.intOption("corpus-max", "n",
+                "max loops per benchmark (the full corpus uses 55)", 10, 1,
+                std::numeric_limits<int>::max());
+  Cli.stringOption("cache-dir", "dir",
+                   "persist the simulation cache under <dir>; a rerun "
+                   "replays its simulations (default: METAOPT_CACHE_DIR, "
+                   "else memory only)");
+  Cli.intOption("threads", "n",
+                "worker threads (default: METAOPT_THREADS, else hardware "
+                "concurrency)",
+                std::nullopt, 1, ThreadPool::MaxThreads);
   Cli.flag("inspect", "validate and describe an existing bundle file");
   Cli.positionalHelp("[<bundle.bin>]", "bundle file to --inspect");
   if (std::optional<int> Exit = Cli.parse(Argc, Argv))
@@ -108,43 +110,37 @@ int main(int Argc, char **Argv) {
     return 2;
   }
   const ClassifierFamily *Family =
-      findClassifierFamily(Cli.getString("classifier", DefaultClassifier));
+      findClassifierFamily(Cli.getString("classifier"));
   if (!Family || !Family->servable()) {
     std::fprintf(stderr, "metaopt-train: --classifier must be one of %s\n",
                  servableClassifierSpellings(", ").c_str());
     return 2;
   }
-  std::string FeaturesName = Cli.getString("features", "paper");
+  std::string FeaturesName = Cli.getString("features");
   if (FeaturesName != "paper" && FeaturesName != "full") {
     std::fprintf(stderr,
                  "metaopt-train: --features must be 'paper' or 'full'\n");
     return 2;
   }
-  std::string CvName = Cli.getString("cv", "loocv");
+  std::string CvName = Cli.getString("cv");
   if (CvName != "loocv" && CvName != "none") {
     std::fprintf(stderr, "metaopt-train: --cv must be 'loocv' or 'none'\n");
     return 2;
   }
-  if (Cli.has("threads")) {
-    int64_t Threads = Cli.getInt("threads", 0);
-    if (Threads < 1) {
-      std::fprintf(stderr,
-                   "metaopt-train: --threads requires a positive integer\n");
-      return 2;
-    }
-    ThreadPool::setGlobalThreads(static_cast<unsigned>(Threads));
-  }
+  if (Cli.has("threads"))
+    ThreadPool::setGlobalThreads(
+        static_cast<unsigned>(Cli.getInt("threads")));
   bool EnableSwp = Cli.has("swp");
 
   PipelineOptions Options;
   Options.Corpus.MinLoopsPerBenchmark =
-      static_cast<int>(Cli.getInt("corpus-min", 6));
+      static_cast<int>(Cli.getInt("corpus-min"));
   Options.Corpus.MaxLoopsPerBenchmark =
-      static_cast<int>(Cli.getInt("corpus-max", 10));
-  if (Options.Corpus.MinLoopsPerBenchmark < 1 ||
-      Options.Corpus.MaxLoopsPerBenchmark <
-          Options.Corpus.MinLoopsPerBenchmark) {
-    std::fprintf(stderr, "metaopt-train: bad --corpus-min/--corpus-max\n");
+      static_cast<int>(Cli.getInt("corpus-max"));
+  if (Options.Corpus.MaxLoopsPerBenchmark <
+      Options.Corpus.MinLoopsPerBenchmark) {
+    std::fprintf(stderr,
+                 "metaopt-train: --corpus-max is below --corpus-min\n");
     return 2;
   }
   if (Cli.has("cache-dir")) {
