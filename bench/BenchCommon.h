@@ -26,12 +26,11 @@
 #include "core/driver/Pipeline.h"
 #include "heuristics/OrcLikeHeuristic.h"
 #include "support/CommandLine.h"
+#include "support/FileIO.h"
 #include "support/StringUtils.h"
 #include "support/TablePrinter.h"
 
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <string>
@@ -129,19 +128,18 @@ orcPredictions(const Dataset &Data,
   return Predictions;
 }
 
-/// Returns "out/<name>", creating the gitignored out/ directory on first
-/// use. All generated bench artifacts (figure CSVs, intermediate dumps)
-/// land there so the repo root stays free of build products.
+/// Returns "out/<name>"; publishing to it creates the gitignored out/
+/// directory. All generated bench artifacts (figure CSVs, intermediate
+/// dumps) land there so the repo root stays free of build products.
 inline std::string benchOutPath(const std::string &Name) {
-  std::error_code Ec;
-  std::filesystem::create_directories("out", Ec);
   return "out/" + Name;
 }
 
 /// Collects machine-readable result rows (one JSON object per line) and
-/// rewrites BENCH_<name>.json in the working directory on flush. The
-/// per-run rewrite keeps the file a snapshot of the latest run, which is
-/// what trajectory tooling diffs across commits.
+/// publishes BENCH_<name>.json in the working directory on flush
+/// (support/FileIO.h publishFile, so a killed bench leaves the previous
+/// file whole). The per-run rewrite keeps the file a snapshot of the
+/// latest run, which is what trajectory tooling diffs across commits.
 class BenchJsonWriter {
 public:
   explicit BenchJsonWriter(std::string Name)
@@ -150,14 +148,13 @@ public:
   /// Adds one row; \p Json must be a complete JSON object literal.
   void row(std::string Json) { Rows.push_back(std::move(Json)); }
 
-  /// Writes all rows, one per line. Returns false on I/O failure.
-  bool flush() const {
-    std::ofstream Out(Path);
-    if (!Out)
-      return false;
+  /// Publishes all rows, one per line. Returns false, with the reason in
+  /// \p Error, on I/O failure.
+  bool flush(std::string *Error) const {
+    std::string Content;
     for (const std::string &Row : Rows)
-      Out << Row << "\n";
-    return static_cast<bool>(Out);
+      Content += Row + "\n";
+    return publishFile(Path, Content, Error);
   }
 
   const std::string &path() const { return Path; }

@@ -32,19 +32,19 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "concurrency/ThreadPool.h"
 #include "serve/Client.h"
 #include "serve/Json.h"
 #include "serve/ModelBundle.h"
 #include "support/CommandLine.h"
+#include "support/FileIO.h"
 
 #include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <mutex>
 #include <poll.h>
-#include <sstream>
 #include <sys/socket.h>
 #include <thread>
 #include <vector>
@@ -94,6 +94,13 @@ const char *BuiltinLoops[] = {
 };
 
 using Clock = std::chrono::steady_clock;
+
+/// Inclusive upper bound of each client count: every client is a thread.
+constexpr int64_t MaxClients = ThreadPool::MaxThreads;
+/// Inclusive upper bound of --oversized-bytes: each oversized client builds
+/// one line that long in memory. 64 times the servers' default
+/// --max-request-bytes.
+constexpr int64_t MaxOversizedBytes = int64_t{64} << 20;
 
 struct SoakConfig {
   std::string Address;
@@ -373,8 +380,8 @@ void bundleSwapper(const SoakConfig &Config, SoakState &State,
   auto Halfway = Start + (Config.End - Start) / 2;
   std::this_thread::sleep_until(Halfway);
 
-  // saveBundleFile publishes atomically (tmp + rename), so the watching
-  // workers see either the old complete bundle or the new one.
+  // saveBundleFile publishes atomically (support/FileIO.h publishFile), so
+  // the watching workers see either the old complete bundle or the new one.
   if (!saveBundleFile(*Swapped, Config.SwapTarget, &Error)) {
     State.recordError("could not publish the swap bundle: " + Error);
     return;
@@ -518,7 +525,8 @@ int main(int Argc, char **Argv) {
                    "daemon address: unix socket path or host:port "
                    "(required)");
   Cli.flag("soak", "run the mixed-workload soak (required)");
-  Cli.intOption("clients", "n", "steady closed-loop clients", 4, 0);
+  Cli.intOption("clients", "n", "steady closed-loop clients", 4, 0,
+                MaxClients);
   Cli.flag("scores", "request per-factor scores");
   Cli.intOption("deadline-ms", "ms", "per-request deadline (0 = none)", 0,
                 0);
@@ -526,13 +534,16 @@ int main(int Argc, char **Argv) {
   Cli.stringOption("label", "name", "summary line label", "steady");
   Cli.stringOption("reference", "addr",
                    "endpoint of the serial byte-identity reference pass");
-  Cli.intOption("reconnectors", "n", "clients that reconnect", 0, 0);
-  Cli.intOption("slow-readers", "n", "clients that dribble reads", 0, 0);
-  Cli.intOption("stallers", "n", "clients that park partial frames", 0, 0);
+  Cli.intOption("reconnectors", "n", "clients that reconnect", 0, 0,
+                MaxClients);
+  Cli.intOption("slow-readers", "n", "clients that dribble reads", 0, 0,
+                MaxClients);
+  Cli.intOption("stallers", "n", "clients that park partial frames", 0, 0,
+                MaxClients);
   Cli.intOption("oversized", "n", "clients that send oversized lines", 0,
-                0);
+                0, MaxClients);
   Cli.intOption("oversized-bytes", "n", "bytes in an oversized line",
-                (1 << 20) + 1024, 2);
+                (1 << 20) + 1024, 2, MaxOversizedBytes);
   Cli.stringOption("swap-bundle", "file", "bundle to hot-swap in mid-soak");
   Cli.stringOption("swap-target", "path",
                    "live bundle path the fleet watches");
@@ -574,15 +585,13 @@ int main(int Argc, char **Argv) {
   }
 
   for (const std::string &File : Cli.positional()) {
-    std::ifstream In(File);
-    if (!In) {
-      std::fprintf(stderr, "loadgen_serve: cannot open '%s'\n",
-                   File.c_str());
+    std::string Error;
+    std::optional<std::string> Text = readFile(File, &Error);
+    if (!Text) {
+      std::fprintf(stderr, "loadgen_serve: %s\n", Error.c_str());
       return 2;
     }
-    std::stringstream Buffer;
-    Buffer << In.rdbuf();
-    Config.LoopTexts.push_back(Buffer.str());
+    Config.LoopTexts.push_back(std::move(*Text));
   }
   if (Config.LoopTexts.empty())
     for (const char *Text : BuiltinLoops)

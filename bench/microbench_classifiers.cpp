@@ -428,9 +428,9 @@ int main(int argc, char **argv) {
   JsonRowReporter Reporter(Writer);
   benchmark::RunSpecifiedBenchmarks(&Reporter);
   benchmark::Shutdown();
-  if (!Writer.flush()) {
-    std::fprintf(stderr, "microbench_classifiers: cannot write %s\n",
-                 Writer.path().c_str());
+  std::string Error;
+  if (!Writer.flush(&Error)) {
+    std::fprintf(stderr, "microbench_classifiers: %s\n", Error.c_str());
     return 1;
   }
   std::fprintf(stderr, "microbench_classifiers: %zu rows -> %s\n",

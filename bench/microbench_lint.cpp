@@ -111,9 +111,9 @@ int main(int Argc, char **Argv) {
     std::fflush(stdout);
     Writer.row(Row);
   }
-  if (!Writer.flush()) {
-    std::fprintf(stderr, "microbench_lint: cannot write %s\n",
-                 Writer.path().c_str());
+  std::string Error;
+  if (!Writer.flush(&Error)) {
+    std::fprintf(stderr, "microbench_lint: %s\n", Error.c_str());
     return 1;
   }
   std::fprintf(stderr, "microbench_lint: %zu rows -> %s\n", Writer.size(),

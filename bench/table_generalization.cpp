@@ -262,8 +262,10 @@ int main(int Argc, char **Argv) {
   printComparison("unrolling pays off on the imported set",
                   "oracle speedup > 1.0x",
                   formatDouble(OracleSpeedup, 3) + "x");
-  if (!Json.flush())
-    std::fprintf(stderr, "table_generalization: cannot write %s\n",
-                 Json.path().c_str());
+  std::string Error;
+  if (!Json.flush(&Error)) {
+    std::fprintf(stderr, "table_generalization: %s\n", Error.c_str());
+    return 1;
+  }
   return 0;
 }

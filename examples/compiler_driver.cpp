@@ -27,6 +27,7 @@
 #include "sched/SchedulePrinter.h"
 #include "sim/Simulator.h"
 #include "support/CommandLine.h"
+#include "support/FileIO.h"
 #include "support/StringUtils.h"
 #include "support/TablePrinter.h"
 #include "transform/MemoryOpt.h"
@@ -62,19 +63,6 @@ loop "sample.scan" lang=C nest=1 trip=-1 rtrip=777 {
 }
 )";
 
-static std::string readWholeFile(const std::string &Path) {
-  std::FILE *File = std::fopen(Path.c_str(), "rb");
-  if (!File)
-    return "";
-  std::string Content;
-  char Buffer[1 << 14];
-  size_t Read;
-  while ((Read = std::fread(Buffer, 1, sizeof(Buffer), File)) > 0)
-    Content.append(Buffer, Read);
-  std::fclose(File);
-  return Content;
-}
-
 int main(int Argc, char **Argv) {
   CliParser Args("compiler_driver",
                  "A miniature compiler: parse, predict the unroll factor, "
@@ -107,19 +95,24 @@ int main(int Argc, char **Argv) {
   std::string LoadModelPath = Args.getString("load-model");
 
   std::string Source = SampleProgram;
+  std::string Error;
   if (!Args.positional().empty()) {
-    Source = readWholeFile(Args.positional()[0]);
-    if (Source.empty()) {
-      std::fprintf(stderr, "error: cannot read '%s'\n",
-                   Args.positional()[0].c_str());
+    std::optional<std::string> Text = readFile(Args.positional()[0], &Error);
+    if (!Text) {
+      std::fprintf(stderr, "error: %s\n", Error.c_str());
       return 1;
     }
+    Source = std::move(*Text);
   }
 
   ParseResult Parsed = parseLoops(Source);
   if (!Parsed.succeeded()) {
     std::fprintf(stderr, "error: line %zu: %s\n", Parsed.ErrorLine,
                  Parsed.Error.c_str());
+    return 1;
+  }
+  if (Parsed.Loops.empty()) {
+    std::fprintf(stderr, "error: the input holds no loop\n");
     return 1;
   }
   std::printf("Parsed %zu loop(s).\n\n", Parsed.Loops.size());
@@ -131,13 +124,12 @@ int main(int Argc, char **Argv) {
   std::unique_ptr<LearnedHeuristic> Learned;
   const UnrollHeuristic *Policy = &Orc;
   if (!UseOrc && !LoadModelPath.empty()) {
-    std::string Blob = readWholeFile(LoadModelPath);
-    if (Blob.empty()) {
-      std::fprintf(stderr, "error: cannot read model '%s'\n",
-                   LoadModelPath.c_str());
+    std::optional<std::string> Blob = readFile(LoadModelPath, &Error);
+    if (!Blob) {
+      std::fprintf(stderr, "error: %s\n", Error.c_str());
       return 1;
     }
-    Trained = deserializeClassifier(Blob);
+    Trained = deserializeClassifier(*Blob);
     if (!Trained) {
       std::fprintf(stderr, "error: '%s' is not a recognizable model\n",
                    LoadModelPath.c_str());
@@ -160,16 +152,11 @@ int main(int Argc, char **Argv) {
     Trained->train(Pipe.dataset(EnableSwp));
     std::string Blob = Trained->serialize();
     if (!SaveModelPath.empty()) {
-      std::FILE *File = std::fopen(SaveModelPath.c_str(), "wb");
-      if (File) {
-        std::fwrite(Blob.data(), 1, Blob.size(), File);
-        std::fclose(File);
+      if (publishFile(SaveModelPath, Blob, &Error))
         std::printf("Saved the trained model to %s (%zu bytes).\n\n",
                     SaveModelPath.c_str(), Blob.size());
-      } else {
-        std::fprintf(stderr, "warning: cannot write '%s'\n",
-                     SaveModelPath.c_str());
-      }
+      else
+        std::fprintf(stderr, "warning: %s\n", Error.c_str());
     }
     Learned = std::make_unique<LearnedHeuristic>(*Trained);
     Policy = Learned.get();

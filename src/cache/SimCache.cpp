@@ -3,17 +3,11 @@
 #include "cache/SimCache.h"
 
 #include "ir/Printer.h"
+#include "support/FileIO.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cerrno>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
-
-#include <fcntl.h>
-#include <unistd.h>
 
 using namespace metaopt;
 
@@ -265,71 +259,6 @@ uint64_t payloadChecksum(const unsigned char *Data, size_t Size) {
   return H.digest().Lo;
 }
 
-std::string readFileIfPresent(const std::string &Path) {
-  std::FILE *File = std::fopen(Path.c_str(), "rb");
-  if (!File)
-    return "";
-  std::string Content;
-  char Buffer[1 << 16];
-  size_t Read;
-  while ((Read = std::fread(Buffer, 1, sizeof(Buffer), File)) > 0)
-    Content.append(Buffer, Read);
-  std::fclose(File);
-  return Content;
-}
-
-/// Writes all of \p Content to \p Fd, retrying short and interrupted
-/// writes.
-bool writeAll(int Fd, const std::string &Content) {
-  const char *Data = Content.data();
-  size_t Left = Content.size();
-  while (Left > 0) {
-    ssize_t Written = ::write(Fd, Data, Left);
-    if (Written < 0 && errno == EINTR)
-      continue;
-    if (Written <= 0)
-      return false;
-    Data += Written;
-    Left -= static_cast<size_t>(Written);
-  }
-  return true;
-}
-
-/// Publishes \p Content as \p Path in \p Dir so that readers, and a crash
-/// at any point, see either the old complete file or the new complete
-/// file. The bytes go to a temporary name unique to this process and call
-/// (so processes sharing a directory never write one file), are fsynced,
-/// and are renamed over \p Path; then the directory is fsynced so the
-/// rename itself survives a crash. The temporary file is removed on every
-/// failure path.
-bool publishFile(const std::string &Dir, const std::string &Path,
-                 const std::string &Content) {
-  static std::atomic<uint64_t> Sequence{0};
-  std::string Tmp =
-      Path + ".tmp." + std::to_string(::getpid()) + "." +
-      std::to_string(Sequence.fetch_add(1, std::memory_order_relaxed));
-  int Fd = ::open(Tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
-  if (Fd < 0)
-    return false;
-  bool Ok = writeAll(Fd, Content) && ::fsync(Fd) == 0;
-  Ok &= ::close(Fd) == 0;
-  std::error_code Ec;
-  if (Ok) {
-    std::filesystem::rename(Tmp, Path, Ec);
-    Ok = !Ec;
-  }
-  if (!Ok) {
-    std::filesystem::remove(Tmp, Ec);
-    return false;
-  }
-  int DirFd = ::open(Dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (DirFd < 0)
-    return false;
-  Ok = ::fsync(DirFd) == 0;
-  Ok &= ::close(DirFd) == 0;
-  return Ok;
-}
-
 /// Validates the container and returns the payload pointer/size, or an
 /// error. Shared by inspectSimCacheFile and loadPersistent.
 SimCacheFileInfo parseContainer(const std::string &Content,
@@ -375,7 +304,14 @@ SimCacheFileInfo parseContainer(const std::string &Content,
 } // namespace
 
 SimCacheFileInfo metaopt::inspectSimCacheFile(const std::string &Path) {
-  return parseContainer(readFileIfPresent(Path), nullptr);
+  std::string Error;
+  std::optional<std::string> Content = readFile(Path, &Error);
+  if (!Content) {
+    SimCacheFileInfo Info;
+    Info.Error = "file missing or unreadable: " + Error;
+    return Info;
+  }
+  return parseContainer(*Content, nullptr);
 }
 
 std::string SimCache::persistentPath() const {
@@ -388,9 +324,11 @@ bool SimCache::loadPersistent() {
   std::string Path = persistentPath();
   if (Path.empty())
     return false;
-  std::string Content = readFileIfPresent(Path);
+  std::optional<std::string> Content = readFile(Path);
+  if (!Content)
+    return false;
   const unsigned char *Payload = nullptr;
-  SimCacheFileInfo Info = parseContainer(Content, &Payload);
+  SimCacheFileInfo Info = parseContainer(*Content, &Payload);
   if (!Info.Valid)
     return false;
   for (uint64_t I = 0; I < Info.Entries; ++I) {
@@ -409,37 +347,52 @@ bool SimCache::savePersistent() {
   std::string Path = persistentPath();
   if (Path.empty() || !Config.Enabled)
     return false;
-  std::lock_guard<std::mutex> SaveLock(SaveMutex);
 
-  // Snapshot and sort so the file bytes are a pure function of the cache
-  // contents, not of insertion order or thread interleaving.
-  std::vector<std::pair<SimKey, SimResult>> Entries;
-  for (const std::unique_ptr<Shard> &S : Shards) {
-    std::lock_guard<std::mutex> Lock(S->Mutex);
-    Entries.insert(Entries.end(), S->Map.begin(), S->Map.end());
-  }
-  std::sort(Entries.begin(), Entries.end(),
-            [](const auto &A, const auto &B) { return A.first < B.first; });
+  auto Merge = [this](const std::string &Current) {
+    // The in-memory entries first, then the file's: after the stable sort
+    // an equal key keeps the in-memory entry (both carry the identical
+    // result). A file the container checks reject is replaced, not merged.
+    std::vector<std::pair<SimKey, SimResult>> Entries;
+    for (const std::unique_ptr<Shard> &S : Shards) {
+      std::lock_guard<std::mutex> Lock(S->Mutex);
+      Entries.insert(Entries.end(), S->Map.begin(), S->Map.end());
+    }
+    const unsigned char *Stored = nullptr;
+    SimCacheFileInfo Info = parseContainer(Current, &Stored);
+    for (uint64_t I = 0; Info.Valid && I < Info.Entries; ++I) {
+      Entries.emplace_back();
+      parseRecord(Stored + I * RecordBytes, Entries.back().first,
+                  Entries.back().second);
+    }
+    // Sorted, so the file bytes are a pure function of the union, not of
+    // insertion order or thread interleaving.
+    std::stable_sort(
+        Entries.begin(), Entries.end(),
+        [](const auto &A, const auto &B) { return A.first < B.first; });
+    Entries.erase(std::unique(Entries.begin(), Entries.end(),
+                              [](const auto &A, const auto &B) {
+                                return A.first == B.first;
+                              }),
+                  Entries.end());
 
-  std::string Payload;
-  Payload.reserve(Entries.size() * RecordBytes);
-  for (const auto &[Key, Result] : Entries)
-    appendRecord(Payload, Key, Result);
+    std::string Payload;
+    Payload.reserve(Entries.size() * RecordBytes);
+    for (const auto &[Key, Result] : Entries)
+      appendRecord(Payload, Key, Result);
 
-  std::string Content;
-  Content.reserve(HeaderBytes + Payload.size());
-  Content.append(SimCacheMagic, sizeof(SimCacheMagic));
-  appendU64(Content, SimCacheFileVersion);
-  appendU64(Content, Entries.size());
-  appendU64(Content,
-            payloadChecksum(
-                reinterpret_cast<const unsigned char *>(Payload.data()),
-                Payload.size()));
-  Content += Payload;
-
-  std::error_code Ignored;
-  std::filesystem::create_directories(Config.PersistentDir, Ignored);
-  if (!publishFile(Config.PersistentDir, Path, Content))
+    std::string Content;
+    Content.reserve(HeaderBytes + Payload.size());
+    Content.append(SimCacheMagic, sizeof(SimCacheMagic));
+    appendU64(Content, SimCacheFileVersion);
+    appendU64(Content, Entries.size());
+    appendU64(Content,
+              payloadChecksum(
+                  reinterpret_cast<const unsigned char *>(Payload.data()),
+                  Payload.size()));
+    Content += Payload;
+    return Content;
+  };
+  if (!updateFile(Path, Merge))
     return false;
   Dirty.store(false, std::memory_order_relaxed);
   return true;

@@ -31,7 +31,8 @@
 ///  - Persistent (optional): a versioned, checksummed, atomically-written
 ///    binary file under a cache directory (--cache-dir on the bench
 ///    harnesses, METAOPT_CACHE_DIR for any process), so repeated pipeline,
-///    LOOCV, and bench runs warm-start across processes. Corrupt,
+///    LOOCV, and bench runs warm-start across processes; a save merges
+///    into the file under a directory lock. Corrupt,
 ///    truncated, or version-mismatched files are rejected wholesale and
 ///    the cache starts cold — never trusted partially.
 ///
@@ -175,13 +176,15 @@ public:
   /// truncated, or of a different version.
   bool loadPersistent();
 
-  /// Atomically rewrites the persistent file with the current contents in
-  /// sorted key order, so the file bytes are deterministic regardless of
-  /// thread count or insertion order. Writes a temp file unique to this
-  /// process and call, fsyncs it, renames it over the file and fsyncs the
-  /// directory: concurrent savers into one directory never share a temp
-  /// file, and a crash leaves the old or the new file, whole. Returns
-  /// false when no PersistentDir is configured or on I/O error.
+  /// Merges the current contents into the persistent file: under a lock
+  /// on the directory (support/FileIO.h updateFile) it reads the file,
+  /// takes the union with the in-memory entries and publishes it in
+  /// sorted key order, so the bytes are deterministic regardless of
+  /// thread count or insertion order, and concurrent savers into one
+  /// directory, in-process or not, lose none of each other's entries. A
+  /// file the container checks reject is replaced, not merged. A crash
+  /// leaves the old or the new file, whole. Returns false when no
+  /// PersistentDir is configured or on I/O error.
   bool savePersistent();
 
   /// savePersistent(), but only when entries were inserted since the last
@@ -217,7 +220,6 @@ private:
   std::atomic<uint64_t> Inserts{0};
   std::atomic<uint64_t> PersistentLoaded{0};
   std::atomic<bool> Dirty{false};
-  std::mutex SaveMutex;
 };
 
 /// simulateLoop through \p Cache; a null \p Cache means the process-wide

@@ -18,13 +18,12 @@
 #include "import/Import.h"
 
 #include "ir/Verifier.h"
+#include "support/FileIO.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
-#include <fstream>
 #include <map>
 #include <set>
-#include <sstream>
 
 using namespace metaopt;
 
@@ -1578,17 +1577,16 @@ ImportResult metaopt::importLoops(std::string_view Text,
 
 ImportResult metaopt::importFile(const std::string &Path,
                                  const ImportOptions &Options) {
-  std::ifstream In(Path);
-  if (!In) {
+  std::string Error;
+  std::optional<std::string> Text = readFile(Path, &Error);
+  if (!Text) {
     ImportResult Result;
     Diagnostic D;
     D.Id = idiag::IoError;
     D.Sev = Severity::Error;
-    D.Message = "cannot open '" + Path + "'";
+    D.Message = Error;
     Result.Report.add(std::move(D));
     return Result;
   }
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-  return importLoops(Buffer.str(), Path, Options);
+  return importLoops(*Text, Path, Options);
 }

@@ -3,11 +3,11 @@
 #include "serve/ModelBundle.h"
 
 #include "ir/Printer.h"
+#include "support/FileIO.h"
 #include "support/StringUtils.h"
 
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 
 using namespace metaopt;
 
@@ -83,19 +83,6 @@ const std::string *findSection(
     if (SectionName == Name)
       return &Body;
   return nullptr;
-}
-
-std::string readFileIfPresent(const std::string &Path) {
-  std::FILE *File = std::fopen(Path.c_str(), "rb");
-  if (!File)
-    return "";
-  std::string Content;
-  char Buffer[1 << 16];
-  size_t Read;
-  while ((Read = std::fread(Buffer, 1, sizeof(Buffer), File)) > 0)
-    Content.append(Buffer, Read);
-  std::fclose(File);
-  return Content;
 }
 
 //===----------------------------------------------------------------------===//
@@ -382,49 +369,25 @@ std::optional<ModelBundle> metaopt::parseBundle(const std::string &Content,
 
 bool metaopt::saveBundleFile(const ModelBundle &Bundle,
                              const std::string &Path, std::string *Error) {
-  std::string Content = serializeBundle(Bundle);
-
-  std::filesystem::path Parent = std::filesystem::path(Path).parent_path();
-  std::error_code Ignored;
-  if (!Parent.empty())
-    std::filesystem::create_directories(Parent, Ignored);
-
-  std::string Tmp = Path + ".tmp";
-  std::FILE *File = std::fopen(Tmp.c_str(), "wb");
-  if (!File) {
-    if (Error)
-      *Error = "cannot open '" + Tmp + "' for writing";
-    return false;
-  }
-  size_t Written = std::fwrite(Content.data(), 1, Content.size(), File);
-  bool Ok = Written == Content.size();
-  Ok &= std::fclose(File) == 0;
-  if (!Ok) {
-    std::filesystem::remove(Tmp, Ignored);
-    if (Error)
-      *Error = "short write to '" + Tmp + "'";
-    return false;
-  }
-  std::error_code RenameError;
-  std::filesystem::rename(Tmp, Path, RenameError);
-  if (RenameError) {
-    std::filesystem::remove(Tmp, Ignored);
-    if (Error)
-      *Error = "cannot rename '" + Tmp + "' to '" + Path + "'";
-    return false;
-  }
-  return true;
+  return publishFile(Path, serializeBundle(Bundle), Error);
 }
 
 std::optional<ModelBundle> metaopt::loadBundleFile(const std::string &Path,
                                                    std::string *Error) {
-  return parseBundle(readFileIfPresent(Path), Error);
+  std::optional<std::string> Content = readFile(Path, Error);
+  if (!Content)
+    return std::nullopt;
+  return parseBundle(*Content, Error);
 }
 
 ModelBundleInfo metaopt::inspectBundleFile(const std::string &Path) {
   ModelBundle Bundle;
   ModelBundleInfo Info;
-  parseInto(readFileIfPresent(Path), Bundle, Info);
+  std::optional<std::string> Content = readFile(Path, &Info.Error);
+  if (!Content)
+    Info.Error = "file missing or unreadable: " + Info.Error;
+  else
+    parseInto(*Content, Bundle, Info);
   return Info;
 }
 

@@ -16,8 +16,8 @@
 ///
 /// The on-disk container borrows the simulation cache's hardening
 /// discipline (cache/SimCache.h): magic bytes, a format version, a payload
-/// checksum over every byte after the header, and atomic tmp-then-rename
-/// publication. A corrupt, truncated, or version-mismatched bundle is
+/// checksum over every byte after the header, and crash-safe publication
+/// through support/FileIO.h. A corrupt, truncated, or version-mismatched bundle is
 /// rejected wholesale with a reason — the serving daemon refuses to start
 /// on a bad artifact rather than predicting from half a model.
 ///
@@ -94,9 +94,11 @@ std::string serializeBundle(const ModelBundle &Bundle);
 std::optional<ModelBundle> parseBundle(const std::string &Content,
                                        std::string *Error = nullptr);
 
-/// Atomically publishes \p Bundle to \p Path (write to Path+".tmp", then
-/// rename): readers concurrently loading the file see either the old
-/// complete bundle or the new one, never a torn write.
+/// Publishes \p Bundle to \p Path with support/FileIO.h publishFile (a
+/// temp file unique to the process and call, fsynced and renamed over
+/// \p Path): readers concurrently loading the file, and concurrent
+/// publishers, see the old complete bundle or a new one, never a torn
+/// write.
 bool saveBundleFile(const ModelBundle &Bundle, const std::string &Path,
                     std::string *Error = nullptr);
 

@@ -3,25 +3,13 @@
 #include "serve/Server.h"
 
 #include "serve/Protocol.h"
+#include "support/FileIO.h"
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
 using namespace metaopt;
 
 namespace {
-
-/// Reads a whole file into \p Out; false when it cannot be opened.
-bool readFileBytes(const std::string &Path, std::string &Out) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return false;
-  std::ostringstream Buffer;
-  Buffer << In.rdbuf();
-  Out = Buffer.str();
-  return static_cast<bool>(In) || In.eof();
-}
 
 Fingerprint fingerprintBytes(const std::string &Bytes) {
   FingerprintHasher H;
@@ -154,10 +142,10 @@ void Server::reloadLoop() {
       continue;
     NextPoll = std::chrono::steady_clock::now() + Options.ReloadPoll;
 
-    std::string Bytes;
-    if (!readFileBytes(Options.BundlePath, Bytes) || Bytes.empty())
-      continue; // Mid-publish or missing; the next poll will see it.
-    Fingerprint Fp = fingerprintBytes(Bytes);
+    std::optional<std::string> Bytes = readFile(Options.BundlePath);
+    if (!Bytes || Bytes->empty())
+      continue; // Missing or unreadable; the next poll will see it.
+    Fingerprint Fp = fingerprintBytes(*Bytes);
     if (Fp == WatchedFp)
       continue;
     // Remember the content we judged even when it is rejected, so a bad
@@ -165,7 +153,7 @@ void Server::reloadLoop() {
     WatchedFp = Fp;
 
     std::string Error;
-    std::optional<ModelBundle> Parsed = parseBundle(Bytes, &Error);
+    std::optional<ModelBundle> Parsed = parseBundle(*Bytes, &Error);
     if (!Parsed) {
       ReloadsRejected.fetch_add(1, std::memory_order_relaxed);
       std::fprintf(stderr,

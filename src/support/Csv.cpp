@@ -2,7 +2,7 @@
 
 #include "support/Csv.h"
 
-#include <cstdio>
+#include "support/FileIO.h"
 
 using namespace metaopt;
 
@@ -44,12 +44,5 @@ std::string CsvWriter::str() const {
 }
 
 bool CsvWriter::writeToFile(const std::string &Path) const {
-  std::FILE *File = std::fopen(Path.c_str(), "w");
-  if (!File)
-    return false;
-  std::string Data = str();
-  size_t Written = std::fwrite(Data.data(), 1, Data.size(), File);
-  bool Ok = Written == Data.size();
-  Ok &= std::fclose(File) == 0;
-  return Ok;
+  return publishFile(Path, str());
 }

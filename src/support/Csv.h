@@ -31,8 +31,8 @@ public:
   /// Serializes all rows.
   std::string str() const;
 
-  /// Writes the CSV to \p Path. Returns false (and leaves no partial file
-  /// guarantee) if the file cannot be opened or written.
+  /// Publishes the CSV as \p Path (support/FileIO.h publishFile). Returns
+  /// false on I/O failure, leaving any previous file whole.
   bool writeToFile(const std::string &Path) const;
 
   size_t numRows() const { return Rows.size(); }

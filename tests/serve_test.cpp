@@ -253,8 +253,11 @@ TEST(ModelBundleTest, FileRoundTripAndInspect) {
   ModelBundle Bundle = makeNnBundle();
   std::string Error;
   ASSERT_TRUE(saveBundleFile(Bundle, Path, &Error)) << Error;
-  // The atomic-publish temp file must not linger.
-  EXPECT_FALSE(std::filesystem::exists(Path + ".tmp"));
+  // No temp file of the atomic publish may linger.
+  std::vector<std::string> Left;
+  for (const auto &Entry : std::filesystem::directory_iterator(Dir))
+    Left.push_back(Entry.path().filename().string());
+  EXPECT_EQ(Left, std::vector<std::string>{"model.bundle"});
 
   std::optional<ModelBundle> Loaded = loadBundleFile(Path, &Error);
   ASSERT_TRUE(Loaded.has_value()) << Error;

@@ -39,10 +39,11 @@
 
 #include "serve/Json.h"
 #include "support/CommandLine.h"
+#include "support/FileIO.h"
 
 #include <cstdio>
-#include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -86,12 +87,13 @@ bool parseRow(const std::string &Line, Row &Out, std::string &Error) {
 
 bool readRows(const std::string &Path, std::vector<Row> &Out,
               unsigned &Failures) {
-  std::ifstream In(Path);
-  if (!In) {
-    std::fprintf(stderr, "metaopt-benchcheck: cannot open %s\n",
-                 Path.c_str());
+  std::string Error;
+  std::optional<std::string> Text = readFile(Path, &Error);
+  if (!Text) {
+    std::fprintf(stderr, "metaopt-benchcheck: %s\n", Error.c_str());
     return false;
   }
+  std::istringstream In(*Text);
   std::string Line;
   unsigned LineNo = 0;
   while (std::getline(In, Line)) {

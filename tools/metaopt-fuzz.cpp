@@ -24,11 +24,10 @@
 #include "concurrency/ThreadPool.h"
 #include "fuzz/Fuzzer.h"
 #include "support/CommandLine.h"
+#include "support/FileIO.h"
 
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 using namespace metaopt;
 
@@ -43,15 +42,13 @@ int replay(const CliParser &Cli) {
   Oracle.Seed = static_cast<uint64_t>(Cli.getInt("seed"));
   bool AnyFailed = false;
   for (const std::string &Path : Cli.positional()) {
-    std::ifstream In(Path);
-    if (!In) {
-      std::fprintf(stderr, "metaopt-fuzz: cannot read %s\n", Path.c_str());
+    std::string Error;
+    std::optional<std::string> Text = readFile(Path, &Error);
+    if (!Text) {
+      std::fprintf(stderr, "metaopt-fuzz: %s\n", Error.c_str());
       return 2;
     }
-    std::ostringstream Buffer;
-    Buffer << In.rdbuf();
-    std::vector<OracleFailure> Failures =
-        replayLoops(Buffer.str(), Path, Oracle);
+    std::vector<OracleFailure> Failures = replayLoops(*Text, Path, Oracle);
     if (Failures.empty()) {
       std::printf("PASS %s\n", Path.c_str());
       continue;
@@ -108,18 +105,20 @@ int main(int Argc, char **Argv) {
 
   if (!Result.Reports.empty() && Cli.has("out-dir")) {
     std::filesystem::path Dir(Cli.getString("out-dir"));
-    std::error_code Ec;
-    std::filesystem::create_directories(Dir, Ec);
     for (const FuzzCaseReport &Report : Result.Reports) {
-      std::filesystem::path File =
-          Dir / reproFileName(Options.Seed, Report);
-      std::ofstream Out(File);
-      Out << "# minimized by metaopt-fuzz --seed=" << Options.Seed
-          << " (case " << Report.Index << ")\n";
+      std::string File = (Dir / reproFileName(Options.Seed, Report)).string();
+      std::string Text = "# minimized by metaopt-fuzz --seed=" +
+                         std::to_string(Options.Seed) + " (case " +
+                         std::to_string(Report.Index) + ")\n";
       for (const std::string &Oracle : Report.MinimizedOracles)
-        Out << "# still fails: " << Oracle << "\n";
-      Out << Report.MinimizedText;
-      std::printf("wrote %s\n", File.string().c_str());
+        Text += "# still fails: " + Oracle + "\n";
+      Text += Report.MinimizedText;
+      std::string Error;
+      if (!publishFile(File, Text, &Error)) {
+        std::fprintf(stderr, "metaopt-fuzz: %s\n", Error.c_str());
+        return 2;
+      }
+      std::printf("wrote %s\n", File.c_str());
     }
   }
   return Result.CasesFailed == 0 ? 0 : 1;

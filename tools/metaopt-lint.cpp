@@ -22,9 +22,9 @@
 #include "ir/Diagnostics.h"
 #include "ir/Parser.h"
 #include "support/CommandLine.h"
+#include "support/FileIO.h"
 
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -140,14 +140,13 @@ int runFiles(const ToolOptions &Options) {
         Units.push_back({File, std::move(L.TheLoop), std::move(L.Symbols)});
       continue;
     }
-    std::ifstream In(File);
-    if (!In) {
-      std::cerr << "metaopt-lint: cannot open '" << File << "'\n";
+    std::string Error;
+    std::optional<std::string> Text = readFile(File, &Error);
+    if (!Text) {
+      std::cerr << "metaopt-lint: " << Error << "\n";
       return 2;
     }
-    std::stringstream Buffer;
-    Buffer << In.rdbuf();
-    ParseResult Parsed = parseLoops(Buffer.str(), File);
+    ParseResult Parsed = parseLoops(*Text, File);
     if (!Parsed.succeeded()) {
       std::cerr << File << ":" << Parsed.ErrorLine
                 << ": error: " << Parsed.Error << "\n";

@@ -19,24 +19,13 @@
 
 #include "serve/Client.h"
 #include "support/CommandLine.h"
+#include "support/FileIO.h"
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
 using namespace metaopt;
 
 namespace {
-
-bool readWholeFile(const std::string &Path, std::string &Out) {
-  std::ifstream In(Path);
-  if (!In)
-    return false;
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-  Out = Buffer.str();
-  return true;
-}
 
 /// Renders one predict response for humans. Returns the process exit
 /// status for this response.
@@ -137,15 +126,14 @@ int main(int Argc, char **Argv) {
 
   int Exit = 0;
   for (const std::string &File : Cli.positional()) {
-    std::string Source;
-    if (!readWholeFile(File, Source)) {
-      std::fprintf(stderr, "metaopt-predict: cannot open '%s'\n",
-                   File.c_str());
+    std::optional<std::string> Source = readFile(File, &Error);
+    if (!Source) {
+      std::fprintf(stderr, "metaopt-predict: %s\n", Error.c_str());
       return 1;
     }
     WireRequest Request;
     Request.TheOp = WireRequest::Op::Predict;
-    Request.LoopText = Source;
+    Request.LoopText = std::move(*Source);
     Request.WantScores = Cli.has("scores");
     Request.DeadlineMs = DeadlineMs;
     std::optional<std::string> Line = Client.request(Request, &Error);
